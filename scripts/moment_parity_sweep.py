@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Route-parity table: Fourier fast path vs truncated-box ODE oracle for the
-first and second moments across the (b, c) case configurations.
+first and second moments across the (b, c) case configurations and the
+fig-z2 conversion law.
 
 Usage: python scripts/moment_parity_sweep.py [--box L] [--times 0.5,1,2,5]
 """
@@ -26,6 +27,9 @@ CASES = {
                             beta2={(0, 2): 0.125, (1, 1): 0.25}),
     "bc=1e-8": BranchingLaw(mu1=0.2, mu2=0.1, beta1={(1, 1): 1e-4},
                             beta2={(1, 1): 1e-4}),
+    # the fig-z2 infected/immune law: conversion makes b = r, c = 0
+    "fig-z2": BranchingLaw(mu1=0.05, mu2=0.0, beta1={(2, 0): 0.5},
+                           conversion_rate=0.45),
 }
 
 

@@ -5,15 +5,16 @@ beta_i(k, l) for k + l >= 2 (a type-i particle is replaced by k type-1 and
 l type-2 particles), and an optional type-1 -> type-2 conversion rate r.
 The derived scalars
 
-    b  = sum_l l beta_1(k, l)        (type-1 parents seeding type 2)
-    c  = sum_k k beta_2(k, l)        (type-2 parents seeding type 1)
-    r1 = sum (k - 1) beta_1 - mu_1   (net type-1 growth exponent)
+    b  = sum_l l beta_1(k, l) + r        (type-1 parents seeding type 2)
+    c  = sum_k k beta_2(k, l)            (type-2 parents seeding type 1)
+    r1 = sum (k - 1) beta_1 - mu_1 - r   (net type-1 growth exponent)
     r2 = sum (l - 1) beta_2 - mu_2
 
 feed both the mean-offspring matrix D = [[r1, b], [c, r2]] whose Perron root
 classifies the process, and the Fourier-space coefficients
 a(theta) = kappa_1 ahat_1(theta) + r1, d(theta) = kappa_2 ahat_2(theta) + r2
-that drive every moment formula.
+that drive every moment formula.  Conversion moves one type-1 particle to
+type 2, so it enters b and r1 only and adds no factorial term.
 
 All types here are immutable after construction and freely shareable.
 """
@@ -142,9 +143,9 @@ class DerivedConstants:
 def derive_constants(law: BranchingLaw) -> DerivedConstants:
     """All derived scalars plus the explicit 2x2 eigen-decomposition of D."""
     b1, b2 = law.beta1, law.beta2
-    b = sum(l * r for _, l, r in b1)
+    b = sum(l * r for _, l, r in b1) + law.conversion_rate
     c = sum(k * r for k, _, r in b2)
-    r1 = sum((k - 1) * r for k, _, r in b1) - law.mu1
+    r1 = sum((k - 1) * r for k, _, r in b1) - law.mu1 - law.conversion_rate
     r2 = sum((l - 1) * r for _, l, r in b2) - law.mu2
     c1 = 0.5 * (r1 + r2)
     c2 = 0.5 * math.sqrt((r1 - r2) ** 2 + 4 * b * c)

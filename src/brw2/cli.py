@@ -24,7 +24,6 @@ from .config import ConfigError, RunConfig, config_hash, parse_config, preset, \
     PRESET_NAMES
 from .csvio import write_csv, write_manifest
 from .epidemic import correlation_ode, epidemic_first_moment_profiles, epidemic_m2
-from .lattice import fourier_symbol
 from .moments import (box_sites, first_moment_field, first_moment_ode_oracle,
                       second_moment_field, second_moment_ode_oracle)
 from .simulate import EventCapExceeded, run as run_replica, snapshot
@@ -135,6 +134,10 @@ def command_clusters(cfg: RunConfig) -> int:
     survivors_by_t = {t: 0 for t in exp.t_list}
     n_ok = 0
     sims_cells = []
+    xs = [x for _, x in initial]
+    # fixed window: the span of the initial sites, so lengths compare across t
+    window = tuple((min(c[k] for c in xs), max(c[k] for c in xs))
+                   for k in range(cfg.dim))
     for rid in range(exp.replicas):
         try:
             sim = run_replica(model, exp.horizon, initial, exp.seed,
@@ -145,9 +148,10 @@ def command_clusters(cfg: RunConfig) -> int:
         n_ok += 1
         if cfg.dim == 1:
             for t in exp.t_list:
-                rep = cluster_stats_1d(occupied_sites_1d(sim, t), t=t)
+                rep = cluster_stats_1d(occupied_sites_1d(sim, t), t=t, window=window[0])
                 cluster_rows.extend([rid, t, "cluster", ln] for ln in rep.cluster_lengths)
                 cluster_rows.extend([rid, t, "gap", ln] for ln in rep.gap_lengths)
+                cluster_rows.append([rid, t, "boundary", rep.boundary_length])
         elif cfg.dim == 2:
             starts = {t: surviving_start_points(sim, t) for t in exp.t_list}
             sims_cells.append((rid, starts, len({x for _, x in initial})))
@@ -162,9 +166,6 @@ def command_clusters(cfg: RunConfig) -> int:
         n_lineages = len({x for _, x in initial})
         p_hat = survivors_by_t[t_max] / (n_ok * n_lineages) if n_ok else 0.0
         c_hat = max(p_hat * t_max, 1e-9)
-        xs = [x for _, x in initial]
-        window = ((min(c[0] for c in xs), max(c[0] for c in xs)),
-                  (min(c[1] for c in xs), max(c[1] for c in xs)))
         for rid, starts, _n in sims_cells:
             for t in exp.t_list:
                 if t <= 0:
@@ -192,8 +193,7 @@ def command_epidemic(cfg: RunConfig) -> int:
                                                 t, exp.box_radius, grid)
         m2 = epidemic_m2(law, k1, cfg.kappa1, t, (0,) * cfg.dim, (0,) * cfg.dim,
                          grid, exp.box_radius)
-        m1_diag = math.exp(law.growth * t) * float(
-            np.exp(cfg.kappa1 * fourier_symbol(k1, grid.points) * t).mean())
+        m1_diag = float(r1[(exp.box_radius,) * cfg.dim])
         ratio = m2.value / m1_diag ** 2 if m1_diag > 1e-280 else float("nan")
         flat1, flat2 = r1.reshape(-1), r2.reshape(-1)
         for s, site in enumerate(box_sites(exp.box_radius, cfg.dim)):

@@ -1,6 +1,7 @@
 """Deterministic CSV and manifest emission.
 
-All data CSVs are RFC-4180-style with a header row; floats are serialized
+All data CSVs are RFC 4180 with a header row: text fields holding a comma
+or a double quote are quoted, numbers never are.  Floats are serialized
 with 17 significant digits so reruns with identical config and seed are
 byte-identical.  The manifest carries the config hash, seed and library
 versions plus a timestamp; the timestamp is the one field excluded from
@@ -26,7 +27,11 @@ def fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
-    return str(value)
+    text = str(value)
+    if "," in text or '"' in text:
+        # RFC 4180: quote the field and double its inner quotes
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:

@@ -1,4 +1,4 @@
-"""Infected/immune two-type model: closed-form moments and correlations.
+"""Infected/immune two-type model: moments and pair correlations.
 
 Type 1 (infected) particles walk, die at rate mu1, infect n - 1 new
 particles at rate b_n, and build immunity (convert to type 2) at rate r;
@@ -7,18 +7,19 @@ type 2 (immune) particles only walk and die.  With
     beta = sum (n - 1) b_n,     beta2 = sum n (n - 1) b_n,
     A    = beta - mu1 - r,
 
-the first moments have closed forms (R1 = e^{At} p1, R2 by variation of
-constants), the second moment of the infected count follows Duhamel's
-principle
+this is the two-type law beta_1(n, 0) = b_n with conversion rate r, for
+which the generic moment engine has r1 = A, b = r and c = 0.  The first
+moments R1 = m_11 and R2 = m_12 and the second moment of the infected count
 
-    M2(t,x,y) = M1(t,x,y) + beta2 int_0^t sum_w M1(t-s,x,w) M1^2(s,w,y) ds,
+    M2(t,x,y) = M1(t,x,y) + beta2 int_0^t sum_w M1(t-s,x,w) M1^2(s,w,y) ds
 
-and the pair correlation functions R11, R12, R22 close into a linear ODE
-system driven by the first moments.  The pair system is integrated over
-full (x, y) boxes: the single-particle initial condition delta_0(x)
-delta_0(y) is not translation invariant, so no difference reduction is
-applied to the stored fields; origin-anchored u = y - x slices are exposed
-for output.
+are therefore views of ``brw2.moments``; ``epidemic_m2_ode`` integrates the
+M2 equation directly as an independent check.  The pair correlation
+functions R11, R12, R22 close into a linear ODE system driven by the first
+moments.  The pair system is integrated over full (x, y) boxes: the
+single-particle initial condition delta_0(x) delta_0(y) is not translation
+invariant, so no difference reduction is applied to the stored fields;
+origin-anchored u = y - x slices are exposed for output.
 
 Everything here is pure evaluation; box integrations own their state and
 distinct times can be computed concurrently.
@@ -31,13 +32,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .branching import BranchingLaw
-from .lattice import JumpKernel, ThetaGrid, fourier_symbol
-from .moments import (BOUNDARY_TOL, MAX_SIMPSON_NODES, SIMPSON_TOL, BoxTransform,
-                      _box_shape, _clip_roundoff, _exp_diff_quotient, box_sites,
-                      build_box_generator)
+from .branching import BranchingLaw, TwoTypeModel
+from .lattice import JumpKernel, ThetaGrid
+from .moments import (BOUNDARY_TOL, BoxTransform, _as_times, _box_shape,
+                      _first_moment_box, _second_moment_symbols, _solve_chained,
+                      box_sites, build_box_generator, first_moment_fourier)
 
 __all__ = [
     "EpidemicLaw",
@@ -53,8 +53,6 @@ __all__ = [
     "gk_ode",
 ]
 
-ODE_RTOL = 1e-7
-ODE_ATOL = 1e-9
 M1_FLOOR = 1e-280
 
 
@@ -105,15 +103,11 @@ class EpidemicLaw:
 
 
 # ---------------------------------------------------------------------------
-# first moments
+# first and second moments: views of the generic engine
 # ---------------------------------------------------------------------------
 
-def _symbol_pair(law, kernel1, kappa1, kernel2, kappa2, pts):
-    s1 = kappa1 * fourier_symbol(kernel1, pts)
-    s2 = kappa2 * fourier_symbol(kernel2, pts)
-    p = s1 + law.growth            # exponent of R1hat
-    q = s2 - law.mu2               # homogeneous exponent of R2hat
-    return p, q
+def _vec(x):
+    return (x,) if isinstance(x, (int, np.integer)) else tuple(x)
 
 
 def epidemic_first_moment_profiles(law: EpidemicLaw, kernel1: JumpKernel,
@@ -122,42 +116,24 @@ def epidemic_first_moment_profiles(law: EpidemicLaw, kernel1: JumpKernel,
                                    grid: ThetaGrid | None = None):
     """(R1, R2) fields over the box, started from one infected at the origin.
 
-    R1hat = e^{(A + kappa1 ahat1) t}; R2hat = r (e^{pt} - e^{qt}) / (p - q)
-    with p = kappa1 ahat1 + A and q = kappa2 ahat2 - mu2, the coinciding
-    exponent branch r t e^{qt} taken inside the stable quotient.
+    R1 = m_11 and R2 = m_12 of the generic engine: R1hat = e^{pt} and
+    R2hat = r (e^{pt} - e^{qt}) / (p - q) with p = kappa1 ahat1 + A and
+    q = kappa2 ahat2 - mu2.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    grid = grid or ThetaGrid.for_dim(kernel1.dim)
-    tr = BoxTransform(grid, box_radius)
-    p, q = _symbol_pair(law, kernel1, kappa1, kernel2, kappa2, grid.points)
-    r1_hat = np.exp(p * t)
-    r2_hat = law.conversion_rate * _exp_diff_quotient(p, q, t)
-    r1 = _clip_roundoff(tr.to_box(r1_hat.astype(complex)))
-    r2 = _clip_roundoff(tr.to_box(r2_hat.astype(complex)))
-    return r1, r2
+    model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
+    grid = grid or ThetaGrid.for_dim(model.dim)
+    m1 = _first_moment_box(model, t, BoxTransform(grid, box_radius))
+    return m1[0, 0], m1[0, 1]
 
 
 def epidemic_first_moments(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
                            kernel2: JumpKernel, kappa2: float, t: float, x,
                            grid: ThetaGrid | None = None) -> tuple[float, float]:
     """(R1(t, x), R2(t, x)) at a single site."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    grid = grid or ThetaGrid.for_dim(kernel1.dim)
-    pts = grid.points
-    p, q = _symbol_pair(law, kernel1, kappa1, kernel2, kappa2, pts)
-    xv = np.asarray((x,) if isinstance(x, (int, np.integer)) else tuple(x),
-                    dtype=np.float64)
-    phase = np.cos(pts @ xv)
-    r1 = float(np.exp(p * t) @ phase) / grid.n_points
-    r2 = float((law.conversion_rate * _exp_diff_quotient(p, q, t)) @ phase) / grid.n_points
-    return r1, r2
+    model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
+    m1 = first_moment_fourier(model, t, x, grid)
+    return float(m1[0, 0]), float(m1[0, 1])
 
-
-# ---------------------------------------------------------------------------
-# second moment of the infected count
-# ---------------------------------------------------------------------------
 
 class M2Value(NamedTuple):
     value: float
@@ -166,84 +142,24 @@ class M2Value(NamedTuple):
 
 
 def epidemic_m2(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t: float,
-                x, y, grid: ThetaGrid | None = None, box_radius: int = 30,
-                n_nodes: int = 200, tol: float = SIMPSON_TOL) -> M2Value:
-    """M2(t, x, y) by the Duhamel route.
+                x, y, grid: ThetaGrid | None = None, box_radius: int = 30) -> M2Value:
+    """M2(t, x, y) = m^(2)_11(t, y - x) of the generic Duhamel route.
 
-    The lattice convolution sum_w M1(t-s, x, w) M1^2(s, w, y) is evaluated
-    as a theta-space product of the walk symbol with the transform of the
-    squared (box-truncated) walk profile; composite Simpson in s with node
-    doubling until ``tol``.  ``boundary_mass`` is the worst walk mass
-    outside the box over the time nodes.
+    Immune particles never infect, so the type-2 walk does not enter m_11
+    and kernel1 stands in for it.  The symbol is summed against the cosine
+    phase of u = y - x, so u may lie outside the box, which only truncates
+    the squared first-moment profile inside the time integral.
+    ``boundary_mass`` is the worst box-mass defect of that profile over the
+    time nodes; ``degraded`` also flags a quadrature that hit its node cap.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    grid = grid or ThetaGrid.for_dim(kernel1.dim)
-    tr = BoxTransform(grid, box_radius)
-    u = np.asarray(_vec(y), dtype=np.int64) - np.asarray(_vec(x), dtype=np.int64)
-    pts = grid.points
-    sym = kappa1 * fourier_symbol(kernel1, pts)
-    phase = np.cos(pts @ u.astype(np.float64))
-    a_gr = law.growth
-    m1 = math.exp(a_gr * t) * float(np.exp(sym * t) @ phase) / grid.n_points
-    if t == 0.0 or law.beta2 == 0.0:
-        return M2Value(value=m1, boundary_mass=0.0, degraded=False)
-
-    nodes = max(2, n_nodes - n_nodes % 2)
-    prev = None
-    while True:
-        integral, defect = _duhamel_walk_integral(sym, tr, grid, t, nodes, phase, a_gr)
-        val = m1 + law.beta2 * math.exp(a_gr * t) * integral
-        if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
-            break
-        if nodes >= MAX_SIMPSON_NODES:
-            break
-        prev = val
-        nodes *= 2
-    return M2Value(value=val, boundary_mass=defect, degraded=defect > BOUNDARY_TOL)
-
-
-def _duhamel_walk_integral(sym, tr: BoxTransform, grid: ThetaGrid, t: float,
-                           n_nodes: int, phase, a_gr: float) -> tuple[float, float]:
-    """int_0^t e^{As} (p_{t-s} * p_s^2)(u) ds; returns (integral, box defect)."""
-    s_nodes = np.linspace(0.0, t, n_nodes + 1)
-    w = np.ones(n_nodes + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= (t / n_nodes) / 3.0
-    box_shape = _box_shape(tr.box_radius, tr.dim)
-    total = 0.0
-    defect = 0.0
-    block = 64
-    for lo in range(0, n_nodes + 1, block):
-        s_blk = s_nodes[lo:lo + block]
-        w_blk = w[lo:lo + block]
-        prof = tr.to_box(np.exp(sym[None, :] * s_blk[:, None]).astype(complex))
-        flat = prof.reshape(len(s_blk), -1)
-        defect = max(defect, float(np.abs(1.0 - flat.sum(axis=1)).max()))
-        sq_hat = tr.to_theta((flat ** 2).reshape((len(s_blk),) + box_shape))
-        mixed = np.exp(sym[None, :] * (t - s_blk)[:, None]) * sq_hat
-        vals = (mixed @ phase).real / grid.n_points
-        total += float(np.sum(w_blk * np.exp(a_gr * s_blk) * vals))
-    return total, defect
-
-
-def _vec(x):
-    return (x,) if isinstance(x, (int, np.integer)) else tuple(x)
-
-
-def _chain_solves(rhs, y0, times, max_step) -> dict:
-    """Endpoint-to-endpoint integration at each requested time (no dense
-    output: interpolated interior evaluations cost an order of accuracy)."""
-    sols = {}
-    state, reached = y0, 0.0
-    for tv in times:
-        res = solve_ivp(rhs, (reached, tv), state, method="DOP853",
-                        rtol=ODE_RTOL, atol=ODE_ATOL, max_step=min(tv, max_step))
-        if not res.success:
-            raise RuntimeError(f"box integration failed: {res.message}")
-        state, reached = res.y[:, -1], tv
-        sols[tv] = state
-    return sols
+    model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
+    grid = grid or ThetaGrid.for_dim(model.dim)
+    sym2, defect, converged = _second_moment_symbols(model, t, grid,
+                                                     BoxTransform(grid, box_radius))
+    u = np.asarray(_vec(y), dtype=np.float64) - np.asarray(_vec(x), dtype=np.float64)
+    value = float((sym2[0, 0] @ np.cos(grid.points @ u)).real) / grid.n_points
+    return M2Value(value=value, boundary_mass=defect,
+                   degraded=defect > BOUNDARY_TOL or not converged)
 
 
 def epidemic_m2_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t,
@@ -253,8 +169,7 @@ def epidemic_m2_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t,
     Returns (m1_field, m2_field, boundary_mass) per time, fields over x with
     y = 0; M1 is co-integrated from its own equation.
     """
-    times = [float(t)] if np.ndim(t) == 0 else [float(v) for v in t]
-    scalar = np.ndim(t) == 0
+    times, scalar = _as_times(t)
     op, outflow = build_box_generator(kernel1, kappa1, box_radius)
     n = op.shape[0]
     center = (n - 1) // 2
@@ -270,13 +185,10 @@ def epidemic_m2_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t,
     y0 = np.zeros(2 * n + 1)
     y0[center] = 1.0
     y0[n + center] = 1.0
-    positive = [v for v in times if v > 0]
-    sols = _chain_solves(rhs, y0, positive,
-                         max_step=4.0 / (kappa1 + abs(a_gr) + 1.0))
+    states = _solve_chained(rhs, y0, times, max_step=4.0 / (kappa1 + abs(a_gr) + 1.0))
     out = []
     shape = _box_shape(box_radius, kernel1.dim)
-    for tv in times:
-        col = y0 if tv == 0.0 else sols[tv]
+    for col in states:
         out.append((col[:n].reshape(shape).copy(), col[n:2 * n].reshape(shape).copy(),
                     float(abs(col[-1]))))
     return out[0] if scalar else out
@@ -304,12 +216,11 @@ def intermittency_ratio(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     yv = np.asarray(_vec(y), dtype=float)
     dist = float(np.linalg.norm(yv - xv))
     g = grid or ThetaGrid.for_dim(kernel1.dim)
-    sym = kappa1 * fourier_symbol(kernel1, g.points) + law.growth
-    phase = np.cos(g.points @ (yv - xv))
     out = []
     for t in sorted(float(v) for v in t_list):
         m2 = epidemic_m2(law, kernel1, kappa1, t, x, y, g, box_radius)
-        m1 = float(np.exp(sym * t) @ phase) / g.n_points
+        m1, _ = epidemic_first_moments(law, kernel1, kappa1, kernel1, kappa1, t,
+                                       tuple(yv - xv), g)
         in_regime = dist <= regime_c * math.sqrt(t) if t > 0 else True
         if m1 <= M1_FLOOR:
             out.append(RatioPoint(t=t, ratio=None, m1=m1, m2=m2.value,
@@ -392,8 +303,7 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
 
     and symmetrically for R22 with source [(L2 R2)(x) + mu2 R2 + r R1].
     """
-    times = [float(t)] if np.ndim(t) == 0 else [float(v) for v in t]
-    scalar = np.ndim(t) == 0
+    times, scalar = _as_times(t)
     op1, out1 = build_box_generator(kernel1, kappa1, box_radius)
     op2, out2 = build_box_generator(kernel2, kappa2, box_radius)
     af1 = kappa1 * _full_jump_matrix(kernel1, box_radius)
@@ -430,14 +340,12 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     y0 = np.zeros(2 * n + 3 * n * n + 1)
     y0[center] = 1.0
     y0[2 * n + center * n + center] = 1.0      # R11(0) = delta_0(x) delta_0(y)
-    positive = [v for v in times if v > 0]
-    sols = _chain_solves(rhs, y0, positive,
-                         max_step=4.0 / (kappa1 + kappa2 + abs(a_gr) + mu2 + r + 1.0))
+    states = _solve_chained(rhs, y0, times,
+                            max_step=4.0 / (kappa1 + kappa2 + abs(a_gr) + mu2 + r + 1.0))
     out = []
-    for tv in times:
-        col = y0 if tv == 0.0 else sols[tv]
+    for tv, col in zip(times, states):
         r1, r2, r11, r12, r22 = unpack(col)
-        flux = float(abs(col[-1])) if tv > 0 else 0.0
+        flux = float(abs(col[-1]))
         out.append(CorrelationField(
             t=tv, box_radius=box_radius, dim=kernel1.dim,
             r1=r1.copy(), r2=r2.copy(),
@@ -472,9 +380,6 @@ def gk_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
 
     y0 = np.zeros(2 * n * n)
     y0[n * n + center * n + center] = 1.0
-    res = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL,
-                    t_eval=[t])
-    if not res.success:
-        raise RuntimeError(f"G/K integration failed: {res.message}")
-    col = res.y[:, -1]
+    col, = _solve_chained(rhs, y0, [float(t)],
+                          max_step=4.0 / (kappa1 + kappa2 + abs(a_gr) + mu2 + r + 1.0))
     return col[:n * n].reshape(n, n).copy(), col[n * n:].reshape(n, n).copy()

@@ -10,7 +10,13 @@ second moments follow from Duhamel's formula
 
 where the source f is a theta-convolution of first-moment symbols, computed
 here as the transform of the pointwise product of box fields (the two are
-equal up to the shared truncation error, at O(S) cost per time node).
+equal up to the shared truncation error, at O(S) cost per time node).  The
+integrand is smooth in s, so the time integral uses Gauss-Legendre nodes,
+doubling their number until two successive fields agree.
+
+Type conversion (the infected/immune epidemic) is part of the branching
+law's derived constants, so the epidemic module reads its moments off this
+engine rather than carrying its own.
 
 Route two (oracle path) integrates the same equations on a truncated box of
 the lattice with absorbing boundary, by an explicit adaptive Runge-Kutta
@@ -25,11 +31,13 @@ distinct (t, x) are safe, and each oracle integration owns its state.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
 from .branching import TwoTypeModel, theta_coefficients
@@ -45,7 +53,6 @@ __all__ = [
     "first_moment_fourier",
     "first_moment_field",
     "first_moment_ode_oracle",
-    "second_moment_fourier",
     "second_moment_field",
     "second_moment_ode_oracle",
     "first_moment_asymptote",
@@ -54,8 +61,9 @@ __all__ = [
 ODE_RTOL = 1e-7
 ODE_ATOL = 1e-9
 BOUNDARY_TOL = 1e-6
-SIMPSON_TOL = 1e-8
-MAX_SIMPSON_NODES = 1600
+QUAD_TOL = 1e-8
+QUAD_START_NODES = 16
+QUAD_MAX_NODES = 512
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +184,15 @@ def fundamental_solution(a, d, b: float, c: float, t) -> np.ndarray:
     return u
 
 
-def _require_conversion_free(model: TwoTypeModel):
-    if model.law.conversion_rate > 0:
-        raise ValueError(
-            "the moment engine implements the conversion-free model; "
-            "type-conversion dynamics are handled by the epidemic module")
-
-
 def first_moment_symbols(model: TwoTypeModel, t, theta_points: np.ndarray) -> np.ndarray:
     """Fourier transforms mhat^(1)_{ij}(t, theta, 0), shape (2, 2) + broadcast.
 
     Selects the closed-form case by the sign pattern of (b, c); the
     degenerate a(theta) = d(theta) split is realized inside the stable
-    difference quotient, which converges to the t e^{at} limit form.
+    difference quotient, which converges to the t e^{at} limit form.  A
+    conversion rate r is already in b and r1, so the epidemic law is the
+    c = 0 case: m_11 = R1 and m_12 = R2 of the infected/immune model.
     """
-    _require_conversion_free(model)
     dc = model.derived
     coef = theta_coefficients(model, theta_points)
     a, d, tt = np.broadcast_arrays(coef.a, coef.d, np.asarray(t, dtype=np.float64))
@@ -219,6 +221,8 @@ class MomentField:
     counted type - 1, x + L per coordinate).  ``boundary_mass`` is the total
     rate-weighted flux killed at the box boundary for oracle fields, and the
     worst box-mass defect of the convolution inputs for Duhamel fields.
+    ``converged`` is False when the Duhamel time quadrature stopped at its
+    node cap; ``degraded`` is then set as well.
     """
 
     t: float
@@ -228,6 +232,7 @@ class MomentField:
     values: np.ndarray = field(repr=False)
     boundary_mass: float = 0.0
     degraded: bool = False
+    converged: bool = True
 
     def _site_index(self, x) -> tuple[int, ...]:
         xv = (x,) if isinstance(x, (int, np.integer)) else tuple(x)
@@ -269,12 +274,16 @@ def first_moment_fourier(model: TwoTypeModel, t: float, x,
 def first_moment_field(model: TwoTypeModel, t: float, box_radius: int,
                        grid: ThetaGrid | None = None) -> MomentField:
     """Fourier-route first-moment field over the whole box."""
+    grid = grid or ThetaGrid.for_dim(model.dim)
+    vals = _first_moment_box(model, t, BoxTransform(grid, box_radius))
+    return MomentField(t=t, box_radius=box_radius, order=1, dim=model.dim, values=vals)
+
+
+def _first_moment_box(model: TwoTypeModel, t: float, tr: BoxTransform) -> np.ndarray:
+    """m^(1)_{ij}(t, x, 0) over the transform's box, shape (2, 2) + box."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    grid = grid or ThetaGrid.for_dim(model.dim)
-    tr = BoxTransform(grid, box_radius)
-    vals = _clip_roundoff(tr.to_box(first_moment_symbols(model, t, grid.points).astype(complex)))
-    return MomentField(t=t, box_radius=box_radius, order=1, dim=model.dim, values=vals)
+    return _clip_roundoff(tr.to_box(first_moment_symbols(model, t, tr.grid.points)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +338,38 @@ def _as_times(t) -> tuple[list[float], bool]:
     return times, False
 
 
+def _solve_chained(rhs, y0: np.ndarray, times: list[float],
+                   max_step: float) -> list[np.ndarray]:
+    """The state at each of the increasing ``times``, starting from y0 at 0.
+
+    Solves run endpoint to endpoint: dense-output interpolation at interior
+    t_eval points costs an order of accuracy, endpoints do not.
+    """
+    states, state, reached = [], y0, 0.0
+    for tv in times:
+        if tv > reached:
+            res = solve_ivp(rhs, (reached, tv), state, method="DOP853",
+                            rtol=ODE_RTOL, atol=ODE_ATOL, max_step=min(tv, max_step))
+            if not res.success:
+                raise RuntimeError(f"box integration failed: {res.message}")
+            state, reached = res.y[:, -1].copy(), tv
+            # free the step history in res.y and the solver's stage arrays
+            # before the next segment: the solver sits in a reference cycle
+            # (its ``fun`` closes over it), which refcounting never frees
+            del res
+            gc.collect()
+        states.append(state)
+    return states
+
+
 def _integrate_fields(model, rhs, y0, times, n, box_radius, n_fields, order,
                       boundary_tol, value_offset=0):
     dim = model.dim
     shape = (2, 2) + _box_shape(box_radius, dim)
-    positive = [v for v in times if v > 0]
-    sols = {}
-    # chain endpoint solves time to time: dense-output interpolation at
-    # interior t_eval points costs an order of accuracy, endpoints do not
-    state, reached = y0, 0.0
-    for tv in positive:
-        res = solve_ivp(rhs, (reached, tv), state, method="DOP853",
-                        rtol=ODE_RTOL, atol=ODE_ATOL,
-                        max_step=min(tv, 4.0 / _rate_bound(model)))
-        if not res.success:
-            raise RuntimeError(f"moment integration failed: {res.message}")
-        state, reached = res.y[:, -1], tv
-        sols[tv] = state
     out = []
-    for tv in times:
-        col = y0 if tv == 0.0 else sols[tv]
+    for tv, col in zip(times, _solve_chained(rhs, y0, times, 4.0 / _rate_bound(model))):
         vals = _clip_roundoff(col[value_offset:value_offset + 4 * n].reshape(shape).copy())
-        flux = float(np.abs(col[n_fields * n:]).max()) if tv > 0 else 0.0
+        flux = float(np.abs(col[n_fields * n:]).max())
         out.append(MomentField(t=tv, box_radius=box_radius, order=order, dim=dim,
                                values=vals, boundary_mass=flux,
                                degraded=flux > boundary_tol))
@@ -366,7 +385,6 @@ def first_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
     box are killed; their accumulated rate-weighted flux is the field's
     ``boundary_mass`` and trips ``degraded`` above ``boundary_tol``.
     """
-    _require_conversion_free(model)
     times, scalar = _as_times(t)
     dc = model.derived
     op1, out1 = build_box_generator(model.kernel1, model.kappa1, box_radius)
@@ -397,7 +415,6 @@ def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
     The quadratic sources consume the co-integrated order-1 field at every
     internal step, so this route never touches the Fourier machinery.
     """
-    _require_conversion_free(model)
     times, scalar = _as_times(t)
     dc = model.derived
     dens = dc.factorial_density
@@ -437,22 +454,20 @@ def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
 
 def _duhamel_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
                      tr: BoxTransform, n_nodes: int) -> tuple[np.ndarray, float]:
-    """mhat^(2)(t, theta, 0) with a fixed composite-Simpson node count."""
+    """mhat^(2)(t, theta, 0) with a fixed Gauss-Legendre node count."""
     dc = model.derived
     dens = dc.factorial_density
     pts = grid.points
     coef = theta_coefficients(model, pts)
-    s_nodes = np.linspace(0.0, t, n_nodes + 1)
-    w = np.ones(n_nodes + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= (t / n_nodes) / 3.0
+    x, w = leggauss(n_nodes)
+    s_nodes, w = 0.5 * t * (x + 1.0), 0.5 * t * w
 
     # homogeneous part: U(t) applied to the delta initial data
     acc = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t).astype(complex)
     defect = 0.0
     box_shape = _box_shape(tr.box_radius, model.dim)
     block = 48
-    for lo in range(0, n_nodes + 1, block):
+    for lo in range(0, n_nodes, block):
         s_blk = s_nodes[lo:lo + block]
         w_blk = w[lo:lo + block]
         sym1 = first_moment_symbols(model, s_blk[:, None], pts)    # (2, 2, B, N)
@@ -477,45 +492,46 @@ def _duhamel_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
     return acc, defect
 
 
-def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,
-                        grid: ThetaGrid | None = None,
-                        n_nodes: int = 200, tol: float = SIMPSON_TOL) -> MomentField:
-    """Fourier/Duhamel second-moment field over the box.
+def _second_moment_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
+                           tr: BoxTransform) -> tuple[np.ndarray, float, bool]:
+    """mhat^(2)(t, theta, 0), its box defect, and whether the quadrature converged.
 
-    The time integral uses composite Simpson, doubling the node count until
-    successive fields differ by less than ``tol`` (relative to the field
-    scale) or the node cap is reached.
+    Gauss-Legendre in s, doubling the node count from QUAD_START_NODES
+    until the box fields of n and 2n nodes differ by less than QUAD_TOL
+    relative to the field scale.  If QUAD_MAX_NODES is reached first, the
+    last result is returned with converged False.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    if t == 0.0:
+        return first_moment_symbols(model, 0.0, grid.points).astype(complex), 0.0, True
+    nodes = QUAD_START_NODES
+    sym2, defect = _duhamel_symbols(model, t, grid, tr, nodes)
+    vals = tr.to_box(sym2)
+    while 2 * nodes <= QUAD_MAX_NODES:
+        nodes *= 2
+        sym2, defect = _duhamel_symbols(model, t, grid, tr, nodes)
+        prev, vals = vals, tr.to_box(sym2)
+        if np.abs(vals - prev).max() <= QUAD_TOL * (1.0 + np.abs(vals).max()):
+            return sym2, defect, True
+    return sym2, defect, False
+
+
+def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,
+                        grid: ThetaGrid | None = None) -> MomentField:
+    """Fourier/Duhamel second-moment field over the box.
+
+    The time integral uses Gauss-Legendre nodes, doubled until successive
+    fields agree (``_second_moment_symbols``); a field whose quadrature hit
+    the node cap has ``converged`` False and ``degraded`` True.
+    """
     grid = grid or ThetaGrid.for_dim(model.dim)
     tr = BoxTransform(grid, box_radius)
-    if t == 0.0:
-        vals = _clip_roundoff(tr.to_box(
-            first_moment_symbols(model, 0.0, grid.points).astype(complex)))
-        return MomentField(t=0.0, box_radius=box_radius, order=2, dim=model.dim,
-                           values=vals)
-    nodes = max(2, n_nodes - n_nodes % 2)
-    prev = None
-    while True:
-        sym2, defect = _duhamel_symbols(model, t, grid, tr, nodes)
-        vals = tr.to_box(sym2)
-        if prev is not None and np.abs(vals - prev).max() <= tol * (1.0 + np.abs(vals).max()):
-            break
-        if nodes >= MAX_SIMPSON_NODES:
-            break
-        prev = vals
-        nodes *= 2
+    sym2, defect, converged = _second_moment_symbols(model, t, grid, tr)
     return MomentField(t=t, box_radius=box_radius, order=2, dim=model.dim,
-                       values=_clip_roundoff(vals), boundary_mass=defect,
-                       degraded=defect > BOUNDARY_TOL)
-
-
-def second_moment_fourier(model: TwoTypeModel, t: float, x,
-                          grid: ThetaGrid | None = None, box_radius: int = 30,
-                          n_nodes: int = 200) -> np.ndarray:
-    """2x2 matrix of m^(2)_{ij}(t, x, 0) by the Duhamel route."""
-    return second_moment_field(model, t, box_radius, grid, n_nodes).matrix_at(x)
+                       values=_clip_roundoff(tr.to_box(sym2)), boundary_mass=defect,
+                       degraded=defect > BOUNDARY_TOL or not converged,
+                       converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -131,6 +132,18 @@ class TestCli:
                 got[(int(ptype), (int(x),))] = int(cnt)
         assert got == expect
 
+    def test_history_csv_is_rfc4180(self, tmp_path):
+        # fate labels such as branched(2,0) hold commas and must be quoted
+        out = tmp_path / "sim"
+        rc = self._run(["simulate", "--preset", "fig-z1", "--replicas", "1",
+                        "--seed", "7", "--t", "5", "--out", str(out)])
+        assert rc == 0
+        with open(out / "history_0000.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[-1] == "fate"
+        assert {len(row) for row in rows} == {len(header)}
+        assert any(row[-1].startswith("branched(") for row in rows)
+
     def test_simulate_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -187,8 +200,16 @@ experiment:
         assert rc == 0
         lines = (out / "clusters.csv").read_text().strip().splitlines()
         assert lines[0] == "replica,t,kind,length"
-        kinds = {line.split(",")[2] for line in lines[1:]}
-        assert "cluster" in kinds
+        rows = [line.split(",") for line in lines[1:]]
+        kinds = {row[2] for row in rows}
+        assert "cluster" in kinds and "boundary" in kinds
+        # one boundary row per (replica, t), measured on the initial block 0..299
+        boundary = [(row[0], float(row[1])) for row in rows if row[2] == "boundary"]
+        assert sorted(boundary) == [(r, t) for r in ("0", "1") for t in (5.0, 10.0)]
+        # clusters, gaps and boundary tile the window at every (replica, t)
+        for key in boundary:
+            assert sum(int(row[3]) for row in rows
+                       if (row[0], float(row[1])) == key) == 300
 
     def test_config_error_exit_code_and_json(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

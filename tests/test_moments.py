@@ -5,7 +5,10 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
+from brw2 import moments
 from brw2.branching import BranchingLaw, TwoTypeModel
+from brw2.epidemic import (EpidemicLaw, epidemic_first_moment_profiles, epidemic_m2,
+                           epidemic_m2_ode)
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
 from brw2.moments import (BoxTransform, box_sites, first_moment_asymptote,
@@ -301,15 +304,35 @@ class TestMomentFieldApi:
 
 
 class TestConversionScope:
-    def test_moment_engine_rejects_conversion_models(self):
-        # conversion dynamics live in the epidemic module; the generic engine
-        # implements the conversion-free reproduction model only
-        law = BranchingLaw(mu1=0.05, mu2=0.0, beta1={(2, 0): 0.5},
-                           conversion_rate=0.45)
-        model = TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 1.0, law)
-        with pytest.raises(ValueError, match="epidemic"):
-            first_moment_field(model, 1.0, 10)
-        with pytest.raises(ValueError, match="epidemic"):
-            first_moment_ode_oracle(model, 1.0, 10)
-        with pytest.raises(ValueError, match="epidemic"):
-            second_moment_ode_oracle(model, 1.0, 10)
+    def test_engine_covers_conversion_law(self):
+        # conversion is r1 -> r1 - r, b -> b + r: the generic engine handles the
+        # epidemic law, and its routes agree with each other and with the
+        # epidemic module
+        law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
+                          conversion_rate=0.2)
+        k1, k2 = simple_kernel(1), uniform_range_kernel(1, 2)
+        model = TwoTypeModel(k1, k2, 1.0, 0.5, law.to_branching_law())
+        t, box = 2.0, 30
+        f1 = first_moment_field(model, t, box)
+        assert np.abs(f1.values - first_moment_ode_oracle(model, t, box).values).max() < 1e-5
+        r1, r2 = epidemic_first_moment_profiles(law, k1, 1.0, k2, 0.5, t, box)
+        npt.assert_allclose(f1.values[0, 0], r1, atol=1e-14)
+        npt.assert_allclose(f1.values[0, 1], r2, atol=1e-14)
+        f2 = second_moment_field(model, t, box)
+        o2 = second_moment_ode_oracle(model, t, box)
+        assert f2.converged and not f2.degraded
+        npt.assert_allclose(f2.values, o2.values, rtol=1e-4, atol=1e-8)
+        _, m2_ode, _ = epidemic_m2_ode(law, k1, 1.0, t, box)
+        npt.assert_allclose(f2.values[0, 0], m2_ode, rtol=1e-4, atol=1e-8)
+
+
+class TestQuadratureCap:
+    def test_cap_without_convergence_is_loud(self, monkeypatch):
+        monkeypatch.setattr(moments, "QUAD_MAX_NODES", moments.QUAD_START_NODES)
+        model = model_case("b+c+")
+        fld = second_moment_field(model, 5.0, 30)
+        assert not fld.converged
+        assert fld.degraded
+        law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
+                          conversion_rate=0.2)
+        assert epidemic_m2(law, simple_kernel(1), 1.0, 5.0, 0, 0).degraded
