@@ -3,8 +3,13 @@
 Each command loads a config (``--config`` file or ``--preset`` name),
 applies flag overrides, runs the corresponding pipeline and writes CSV
 files plus a manifest into the output directory.  Errors exit nonzero with
-a machine-readable JSON record on stderr.  Worker parallelism for replica
-sweeps is capped by the BRW2_THREADS environment variable.
+a machine-readable JSON record on stderr.
+
+``simulate`` and ``clusters`` run their replicas through
+``simulate.map_replicas`` with module-level reducers: the simulate reducer
+writes its replica's history CSV from the run's columns and returns only the
+snapshot rows, so memory does not grow with ``--replicas``.  BRW2_THREADS
+caps the worker processes; the CSVs are byte-identical for any value.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .branching import TwoTypeModel
 from .clusters import cell_stats_2d, cluster_stats_1d, occupied_sites_1d, \
     surviving_start_points
 from .config import ConfigError, RunConfig, config_hash, parse_config, preset, \
@@ -26,7 +31,8 @@ from .csvio import write_csv, write_manifest
 from .epidemic import correlation_ode, epidemic_first_moment_profiles, epidemic_m2
 from .moments import (box_sites, first_moment_field, first_moment_ode_oracle,
                       second_moment_field, second_moment_ode_oracle)
-from .simulate import EventCapExceeded, run as run_replica, snapshot
+from .simulate import FATE_BRANCHED, FATE_JUMPED, FATE_NAMES, SimulationRun, \
+    map_replicas, snapshot
 
 CLI_MAX_DIM = 3
 
@@ -52,41 +58,58 @@ def _xcols(dim: int) -> list[str]:
     return [f"x{k + 1}" for k in range(dim)]
 
 
+def _history_rows(sim: SimulationRun) -> list[list]:
+    """One row per record: replica, record_id, parent_id, type, x1..xd, t1,
+    t2, fate, read column-wise from the run."""
+    rid = sim.replica_id
+    jumped = {p: ["jumped(" + ",".join(str(c) for c in v) + ")"
+                  for v in sim.model.kernel(p).offsets.tolist()] for p in (1, 2)}
+    # positions as d coordinate columns: a list per record would cost ~70
+    # bytes each while the rows are held
+    positions = zip(*sim.positions.T.tolist())
+    rows = []
+    for idx, (parent, ptype, pos, t1, t2, fate, a, b) in enumerate(zip(
+            sim.parents.tolist(), sim.types.tolist(), positions, sim.t1.tolist(),
+            sim.t2.tolist(), sim.fates.tolist(), sim.aux_a.tolist(),
+            sim.aux_b.tolist())):
+        if fate == FATE_JUMPED:
+            label = jumped[ptype][a]
+        elif fate == FATE_BRANCHED:
+            label = f"branched({a},{b})"
+        else:
+            label = FATE_NAMES[fate]
+        rows.append([rid, idx, parent, ptype, *pos, t1, t2, label])
+    return rows
+
+
+def _simulate_replica(sim: SimulationRun, out: Path, t_list) -> list[list]:
+    """Write the replica's history CSV and return its snapshot rows, so no
+    history outlives its own replica."""
+    rid = sim.replica_id
+    hdr = ["replica", "record_id", "parent_id", "type", *_xcols(sim.model.dim),
+           "t1", "t2", "fate"]
+    write_csv(out / f"history_{rid:04d}.csv", hdr, _history_rows(sim))
+    return [[rid, t, ptype, *pos, cnt]
+            for t in t_list for (ptype, pos), cnt in snapshot(sim, t).items()]
+
+
 def command_simulate(cfg: RunConfig) -> int:
     model = cfg.build_model()
     exp = cfg.experiment
     out = Path(exp.out_dir)
-    initial = cfg.initial_or_default()
-    failures = []
-    snap_rows = []
-    n_ok = 0
-    for rid in range(exp.replicas):
-        try:
-            sim = run_replica(model, exp.horizon, initial, exp.seed,
-                              event_cap=exp.event_cap, replica_id=rid)
-        except EventCapExceeded as exc:
-            failures.append((rid, str(exc)))
-            continue
-        n_ok += 1
-        hdr = ["replica", "record_id", "parent_id", "type", *_xcols(cfg.dim),
-               "t1", "t2", "fate"]
-        rows = []
-        for idx in range(sim.n_records):
-            rec = sim.record(idx)
-            rows.append([rid, idx, rec.parent, rec.ptype, *rec.position,
-                         rec.t1, rec.t2, rec.fate_label()])
-        write_csv(out / f"history_{rid:04d}.csv", hdr, rows)
-        for t in exp.t_list:
-            for (ptype, pos), cnt in snapshot(sim, t).items():
-                snap_rows.append([rid, t, ptype, *pos, cnt])
+    snaps, failures = map_replicas(
+        model, exp.horizon, cfg.initial_or_default(), exp.replicas, exp.seed,
+        partial(_simulate_replica, out=out, t_list=exp.t_list),
+        event_cap=exp.event_cap)
     write_csv(out / "snapshot.csv",
-              ["replica", "t", "type", *_xcols(cfg.dim), "count"], snap_rows)
+              ["replica", "t", "type", *_xcols(cfg.dim), "count"],
+              [row for rows in snaps if rows is not None for row in rows])
     write_manifest(out, "simulate", config_hash(cfg), exp.seed, failures,
                    extra={"replicas": exp.replicas})
     if failures:
         print(json.dumps({"failures": [{"replica": r, "error": e}
                                        for r, e in failures]}), file=sys.stderr)
-    return 0 if n_ok else 1
+    return 0 if len(failures) < exp.replicas else 1
 
 
 def command_moments(cfg: RunConfig) -> int:
@@ -123,50 +146,48 @@ def command_moments(cfg: RunConfig) -> int:
     return 0
 
 
+def _cluster_rows_1d(sim: SimulationRun, t_list, window) -> list[list]:
+    rid = sim.replica_id
+    rows = []
+    for t in t_list:
+        rep = cluster_stats_1d(occupied_sites_1d(sim, t), t=t, window=window)
+        rows.extend([rid, t, "cluster", ln] for ln in rep.cluster_lengths)
+        rows.extend([rid, t, "gap", ln] for ln in rep.gap_lengths)
+        rows.append([rid, t, "boundary", rep.boundary_length])
+    return rows
+
+
+def _start_points(sim: SimulationRun, t_list) -> dict:
+    return {t: surviving_start_points(sim, t) for t in t_list}
+
+
 def command_clusters(cfg: RunConfig) -> int:
     model = cfg.build_model()
     exp = cfg.experiment
     out = Path(exp.out_dir)
     initial = cfg.initial_or_default()
-    failures = []
-    cluster_rows = []
-    cell_rows = []
-    survivors_by_t = {t: 0 for t in exp.t_list}
-    n_ok = 0
-    sims_cells = []
     xs = [x for _, x in initial]
     # fixed window: the span of the initial sites, so lengths compare across t
     window = tuple((min(c[k] for c in xs), max(c[k] for c in xs))
                    for k in range(cfg.dim))
-    for rid in range(exp.replicas):
-        try:
-            sim = run_replica(model, exp.horizon, initial, exp.seed,
-                              event_cap=exp.event_cap, replica_id=rid)
-        except EventCapExceeded as exc:
-            failures.append((rid, str(exc)))
-            continue
-        n_ok += 1
-        if cfg.dim == 1:
-            for t in exp.t_list:
-                rep = cluster_stats_1d(occupied_sites_1d(sim, t), t=t, window=window[0])
-                cluster_rows.extend([rid, t, "cluster", ln] for ln in rep.cluster_lengths)
-                cluster_rows.extend([rid, t, "gap", ln] for ln in rep.gap_lengths)
-                cluster_rows.append([rid, t, "boundary", rep.boundary_length])
-        elif cfg.dim == 2:
-            starts = {t: surviving_start_points(sim, t) for t in exp.t_list}
-            sims_cells.append((rid, starts, len({x for _, x in initial})))
-            for t in exp.t_list:
-                survivors_by_t[t] += len(starts[t])
+    if cfg.dim == 1:
+        reducer = partial(_cluster_rows_1d, t_list=exp.t_list, window=window[0])
+    else:
+        reducer = partial(_start_points, t_list=exp.t_list)
+    results, failures = map_replicas(model, exp.horizon, initial, exp.replicas,
+                                     exp.seed, reducer, event_cap=exp.event_cap)
+    done = [(rid, res) for rid, res in enumerate(results) if res is not None]
     if cfg.dim == 1:
         write_csv(out / "clusters.csv", ["replica", "t", "kind", "length"],
-                  cluster_rows)
+                  [row for _, rows in done for row in rows])
     elif cfg.dim == 2:
         # c_hat from the same runs: mean surviving fraction * t at the horizon
         t_max = max(exp.t_list)
-        n_lineages = len({x for _, x in initial})
-        p_hat = survivors_by_t[t_max] / (n_ok * n_lineages) if n_ok else 0.0
+        survivors = sum(len(starts[t_max]) for _, starts in done)
+        p_hat = survivors / (len(done) * len(set(xs))) if done else 0.0
         c_hat = max(p_hat * t_max, 1e-9)
-        for rid, starts, _n in sims_cells:
+        cell_rows = []
+        for rid, starts in done:
             for t in exp.t_list:
                 if t <= 0:
                     continue
@@ -178,7 +199,7 @@ def command_clusters(cfg: RunConfig) -> int:
                   ["replica", "t", "cell_side", "n_cells", "degenerate_fraction"],
                   cell_rows)
     write_manifest(out, "clusters", config_hash(cfg), exp.seed, failures)
-    return 0 if n_ok else 1
+    return 0 if done else 1
 
 
 def command_epidemic(cfg: RunConfig) -> int:

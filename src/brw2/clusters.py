@@ -6,8 +6,10 @@ linearly, so the survivors' particles pile into rare dense islands of width
 ~ sqrt(t) separated by empty stretches of order t in d = 1; in d = 2 the
 signature is cells of side ~ sqrt(t nu(t) / c) left without any surviving
 subpopulation start point.  Everything here is a pure function over
-completed runs (or a streaming reducer over replicas), so replicas
-parallelize trivially.
+completed runs.  The survival and conditional curves each run one sweep
+through ``simulate.map_replicas`` with a picklable per-replica reducer, so
+they give the same numbers for any BRW2_THREADS, and they raise rather than
+drop a replica that hits the event cap.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .branching import TwoTypeModel, classify_criticality
-from .simulate import SimulationRun, map_replicas, snapshot
+from .simulate import SimulationRun, map_replicas
 
 __all__ = [
     "ClusterReport",
@@ -58,26 +61,40 @@ class SurvivalCurve:
     """Least-squares fit of t * P(t) over the largest half of the times."""
 
 
-def _totals_reducer(t_list):
-    tl = list(t_list)
-
-    def reduce_run(sim: SimulationRun):
-        out = np.zeros((len(tl), 2), dtype=np.int64)
-        for row, t in enumerate(tl):
-            mask = sim.alive_mask(t)
-            out[row, 0] = int((sim.types[mask] == 1).sum())
-            out[row, 1] = int((sim.types[mask] == 2).sum())
-        return out
-
-    return reduce_run
+def _type_totals(sim: SimulationRun, t_list) -> np.ndarray:
+    """(len(t_list), 2) live type-1 and type-2 counts of one replica."""
+    out = np.zeros((len(t_list), 2), dtype=np.int64)
+    for row, t in enumerate(t_list):
+        alive = sim.types[sim.alive_mask(t)]
+        out[row, 0] = int((alive == 1).sum())
+        out[row, 1] = int((alive == 2).sum())
+    return out
 
 
-def _warn_unless_critical_irreducible(model: TwoTypeModel):
+def _sweep_totals(model: TwoTypeModel, initial_type: int, t_list, n_replicas: int,
+                  seed: int, n_workers: int | None):
+    """One sweep of one-particle replicas: the sorted times and the
+    (n_replicas, len(times), 2) array of live type totals.
+
+    A replica that hits the event cap is one of the largest survivors, so
+    dropping it would bias every estimate low; the sweep refuses instead.
+    """
+    if n_replicas < 100:
+        raise ValueError("n_replicas < 100 makes the standard errors meaningless")
     cls = classify_criticality(model.derived, model.law)
     if cls.criticality != "critical" or cls.structure != "irreducible":
         warnings.warn(
             f"law is {cls.criticality}/{cls.structure}; the c/t survival law is "
             "derived for critical irreducible reproduction", stacklevel=3)
+    t_list = sorted(float(t) for t in t_list)
+    rows, failures = map_replicas(model, max(t_list), [(initial_type, (0,) * model.dim)],
+                                  n_replicas, seed, partial(_type_totals, t_list=t_list),
+                                  n_workers=n_workers)
+    if failures:
+        raise RuntimeError(
+            f"replicas {[rid for rid, _ in failures]} hit the event cap; they are "
+            "survivors, so the estimate is refused rather than biased low")
+    return t_list, np.stack(rows)
 
 
 def survival_curve(model: TwoTypeModel, initial_type: int, t_list, n_replicas: int,
@@ -87,27 +104,19 @@ def survival_curve(model: TwoTypeModel, initial_type: int, t_list, n_replicas: i
     Survival counts the whole subpopulation: both types, all sites.  Also
     fits c_hat to t * P(t) over the largest half of ``t_list``.
     """
-    if n_replicas < 100:
-        raise ValueError("n_replicas < 100 makes the standard errors meaningless")
-    _warn_unless_critical_irreducible(model)
-    t_list = sorted(float(t) for t in t_list)
-    horizon = max(t_list)
-    reducer = _totals_reducer(t_list)
-    rows, failures = map_replicas(model, horizon, [(initial_type, (0,) * model.dim)],
-                                  n_replicas, seed, reducer, n_workers=n_workers)
-    rows = [r for r in rows if r is not None]
-    n = len(rows)
-    totals = np.stack(rows)                    # (n, len(t_list), 2)
+    t_list, totals = _sweep_totals(model, initial_type, t_list, n_replicas, seed,
+                                   n_workers)
     alive = totals.sum(axis=2) > 0
     points = []
     for row, t in enumerate(t_list):
         surv = int(alive[:, row].sum())
-        p = surv / n
-        points.append(SurvivalPoint(t=t, p_hat=p, se=math.sqrt(p * (1 - p) / n),
+        p = surv / n_replicas
+        points.append(SurvivalPoint(t=t, p_hat=p,
+                                    se=math.sqrt(p * (1 - p) / n_replicas),
                                     n_survivors=surv))
     tail = points[len(points) // 2:]
     c_hat = float(np.mean([pt.t * pt.p_hat for pt in tail])) if tail else float("nan")
-    return SurvivalCurve(initial_type=initial_type, n_replicas=n, points=points,
+    return SurvivalCurve(initial_type=initial_type, n_replicas=n_replicas, points=points,
                          c_hat=c_hat)
 
 
@@ -137,15 +146,8 @@ def conditional_mean_curve(model: TwoTypeModel, initial_type: int, counted_type:
     Survival is whole-subpopulation survival (both types).  Times with zero
     survivors are omitted with a flag rather than fabricated.
     """
-    if n_replicas < 100:
-        raise ValueError("n_replicas < 100 makes the standard errors meaningless")
-    _warn_unless_critical_irreducible(model)
-    t_list = sorted(float(t) for t in t_list)
-    reducer = _totals_reducer(t_list)
-    rows, failures = map_replicas(model, max(t_list),
-                                  [(initial_type, (0,) * model.dim)],
-                                  n_replicas, seed, reducer, n_workers=n_workers)
-    totals = np.stack([r for r in rows if r is not None])
+    t_list, totals = _sweep_totals(model, initial_type, t_list, n_replicas, seed,
+                                   n_workers)
     alive = totals.sum(axis=2) > 0
     points = []
     for row, t in enumerate(t_list):

@@ -312,7 +312,7 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     center = (n - 1) // 2
     a_gr, mu2, r = law.growth, law.mu2, law.conversion_rate
     q_diag = law.beta2 - law.beta + law.mu1 + r
-    op1t, op2t = op1.T.tocsr(), op2.T.tocsr()
+    op2t = op2.T.tocsr()
 
     def unpack(yv):
         r1 = yv[:n]
@@ -326,13 +326,20 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
         r1, r2, r11, r12, r22 = unpack(yv)
         dr1 = op1 @ r1 + a_gr * r1
         dr2 = op2 @ r2 - mu2 * r2 + r * r1
-        d11 = (op1 @ r11 + r11 @ op1t + 2.0 * a_gr * r11
-               - af1 * (r1[:, None] + r1[None, :]))
+        # R11, R22 and the generators are symmetric (JumpKernel rejects
+        # asymmetric weights), so r11 @ op1.T = (op1 @ r11).T: one sparse
+        # product per pair field.  The in-place adds keep the peak memory of
+        # the two-product form.
+        d11 = op1 @ r11
+        d11 += d11.T
+        d11 += 2.0 * a_gr * r11 - af1 * (r1[:, None] + r1[None, :])
         d11[np.diag_indices(n)] += q_diag * r1 + op1 @ r1
         d12 = (op1 @ r12 + r12 @ op2t + (a_gr - mu2) * r12 + r * r11)
         d12[np.diag_indices(n)] -= r * r1
-        d22 = (op2 @ r22 + r22 @ op2t - 2.0 * mu2 * r22 + r * (r12 + r12.T)
-               - af2 * (r2[:, None] + r2[None, :]))
+        d22 = op2 @ r22
+        d22 += d22.T
+        d22 += (r * (r12 + r12.T) - 2.0 * mu2 * r22
+                - af2 * (r2[:, None] + r2[None, :]))
         d22[np.diag_indices(n)] += op2 @ r2 + mu2 * r2 + r * r1
         dflux = np.array([out1 @ r1 + out2 @ r2])
         return np.concatenate([dr1, dr2, d11.ravel(), d12.ravel(), d22.ravel(), dflux])

@@ -19,8 +19,11 @@ Randomness comes from a counter-based Philox generator keyed by
 and every run bit-reproducible; only raw uniforms are consumed from the
 generator so the draw sequence is independent of library version details.
 
-A completed ``SimulationRun`` is immutable and safe to share across
-threads; replicas are embarrassingly parallel.
+A completed ``SimulationRun`` holds its records as columns (no per-record
+objects) and is immutable.  Replicas are embarrassingly parallel:
+``map_replicas`` is the one loop over them, used by ``ensemble``, the
+survival and conditional sweeps and the CLI, and it fans out over
+BRW2_THREADS processes with picklable reducers without changing results.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +46,6 @@ __all__ = [
     "FATE_CONVERTED",
     "FATE_CENSORED",
     "FATE_NAMES",
-    "ParticleRecord",
     "SimulationRun",
     "EnsembleResult",
     "SiteStat",
@@ -107,33 +110,13 @@ class _UniformBuffer:
 
 
 @dataclass(frozen=True)
-class ParticleRecord:
-    """One particle sojourn: [i, x, t1, t2] plus its closing fate."""
-
-    ptype: int
-    position: tuple[int, ...]
-    t1: float
-    t2: float
-    fate: str
-    offspring: tuple[int, int] | None = None      # for fate == "branched"
-    displacement: tuple[int, ...] | None = None   # for fate == "jumped"
-    parent: int = -1
-
-    def fate_label(self) -> str:
-        if self.fate == "branched":
-            return f"branched({self.offspring[0]},{self.offspring[1]})"
-        if self.fate == "jumped":
-            return "jumped(" + ",".join(str(c) for c in self.displacement) + ")"
-        return self.fate
-
-
-@dataclass(frozen=True)
 class SimulationRun:
     """Complete replay-deterministic history of one replica.
 
-    Columnar storage; ``records()`` yields ``ParticleRecord`` views.  Every
-    non-initial record's t1 equals its parent's t2, and censored records
-    (t2 == T) count as alive on the closed interval [t1, T].
+    Columnar storage, one row per record: a jump's displacement is
+    ``model.kernel(type).offsets[aux_a]``.  Every non-initial record's t1
+    equals its parent's t2, and censored records (t2 == T) count as alive
+    on the closed interval [t1, T].
     """
 
     model: TwoTypeModel
@@ -159,26 +142,6 @@ class SimulationRun:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
         censored = self.fates == FATE_CENSORED
         return (self.t1 <= t) & ((t < self.t2) | (censored & (t <= self.t2)))
-
-    def record(self, idx: int) -> ParticleRecord:
-        fate = int(self.fates[idx])
-        offspring = None
-        displacement = None
-        if fate == FATE_BRANCHED:
-            offspring = (int(self.aux_a[idx]), int(self.aux_b[idx]))
-        elif fate == FATE_JUMPED:
-            kernel = self.model.kernel(int(self.types[idx]))
-            displacement = tuple(int(c) for c in kernel.offsets[self.aux_a[idx]])
-        return ParticleRecord(
-            ptype=int(self.types[idx]),
-            position=tuple(int(c) for c in self.positions[idx]),
-            t1=float(self.t1[idx]), t2=float(self.t2[idx]),
-            fate=FATE_NAMES[fate], offspring=offspring,
-            displacement=displacement, parent=int(self.parents[idx]))
-
-    def records(self) -> Iterator[ParticleRecord]:
-        for idx in range(self.n_records):
-            yield self.record(idx)
 
     def root_of(self) -> np.ndarray:
         """Initial-ancestor record index per record (parents precede children)."""
@@ -361,10 +324,15 @@ class EnsembleResult:
 
 
 def default_workers() -> int:
+    """Worker count from BRW2_THREADS (default 1); it must be an integer >= 1."""
+    raw = os.environ.get("BRW2_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("BRW2_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"BRW2_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _replica_job(args):
@@ -383,30 +351,32 @@ def map_replicas(model: TwoTypeModel, horizon: float, initial, n_replicas: int,
                  n_workers: int | None = None) -> tuple[list, list[tuple[int, str]]]:
     """Apply ``reducer`` to each replica; results kept in replica order.
 
-    Replica k uses the stream keyed by (base_seed, k).  Failures are
-    collected per replica without aborting the rest.  Parallel workers
-    (capped by BRW2_THREADS) do not affect results, only wall time.
+    This is the one loop over replicas in the package.  Replica k uses the
+    stream keyed by (base_seed, k); a replica that hits the event cap
+    leaves None in its slot and a (k, message) entry in the failures,
+    without aborting the rest.  With more than one worker (BRW2_THREADS by
+    default) replicas run in at most min(workers, n_replicas) processes, so
+    ``reducer`` must be picklable: a module-level function, or a
+    ``functools.partial`` of one.  Workers change wall time, not results.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     workers = default_workers() if n_workers is None else max(1, n_workers)
+    workers = min(workers, n_replicas)
     jobs = [(model, horizon, initial, base_seed, k, event_cap, reducer)
             for k in range(n_replicas)]
-    results: list = [None] * n_replicas
-    failures: list[tuple[int, str]] = []
-    if workers == 1 or n_replicas == 1:
-        done = map(_replica_job, jobs)
+    if workers == 1:
+        done = list(map(_replica_job, jobs))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        done = pool.map(_replica_job, jobs, chunksize=max(1, n_replicas // (8 * workers)))
-    for rid, value, err in done:
-        if err is not None:
-            failures.append((rid, err))
-        else:
-            results[rid] = value
-    if workers > 1 and n_replicas > 1:
-        pool.shutdown()
-    return results, failures
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_replica_job, jobs,
+                                 chunksize=max(1, n_replicas // (8 * workers))))
+    failures = [(rid, err) for rid, _, err in done if err is not None]
+    return [value for _, value, _ in done], failures
+
+
+def _snapshots(sim: SimulationRun, times, keep_runs: bool):
+    return (sim if keep_runs else None, [snapshot(sim, t) for t in times])
 
 
 def ensemble(model: TwoTypeModel, horizon: float, initial, n_replicas: int,
@@ -420,14 +390,9 @@ def ensemble(model: TwoTypeModel, horizon: float, initial, n_replicas: int,
     which is the sane mode for large replica counts.
     """
     times = [float(t) for t in snapshot_times]
-
-    def reduce_run(sim: SimulationRun):
-        snaps = [snapshot(sim, t) for t in times]
-        return (sim if keep_runs else None, snaps)
-
     pairs, failures = map_replicas(model, horizon, initial, n_replicas, base_seed,
-                                   reduce_run, event_cap=event_cap,
-                                   n_workers=n_workers)
+                                   partial(_snapshots, times=times, keep_runs=keep_runs),
+                                   event_cap=event_cap, n_workers=n_workers)
     runs = [] if keep_runs else None
     sums: list[dict] = [{} for _ in times]
     sumsq: list[dict] = [{} for _ in times]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brw2 import clusters
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.clusters import (cell_stats_2d, cluster_stats_1d, conditional_mean_curve,
                            occupied_sites_1d, survival_curve, surviving_start_points)
@@ -132,6 +133,29 @@ class TestConditionalMean:
         with pytest.warns(UserWarning):
             curve = conditional_mean_curve(model, 1, 1, [5.0, 10.0], 150, 7)
         assert curve.points[-1].omitted and curve.points[-1].mean is None
+
+
+class TestEventCapRefusal:
+    """A capped replica is one of the largest survivors: both curves refuse
+    the estimate and name it, rather than drop it and bias P(t) low."""
+
+    @pytest.fixture
+    def one_capped(self, monkeypatch):
+        def fake_map_replicas(model, horizon, initial, n_replicas, seed, reducer,
+                              **kwargs):
+            rows = [np.ones((1, 2), dtype=np.int64)] * n_replicas
+            rows[37] = None
+            return rows, [(37, "replica 37 exceeded the event cap of 10 records")]
+
+        monkeypatch.setattr(clusters, "map_replicas", fake_map_replicas)
+
+    def test_survival_curve_raises(self, one_capped):
+        with pytest.raises(RuntimeError, match=r"replicas \[37\].*event cap"):
+            survival_curve(critical_model(), 1, [1.0], 100, 1)
+
+    def test_conditional_mean_curve_raises(self, one_capped):
+        with pytest.raises(RuntimeError, match=r"replicas \[37\].*event cap"):
+            conditional_mean_curve(critical_model(), 1, 2, [1.0], 100, 1)
 
 
 class TestCells:

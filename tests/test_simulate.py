@@ -5,11 +5,13 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
+from brw2 import simulate
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.lattice import simple_kernel, uniform_range_kernel
 from brw2.moments import first_moment_field
-from brw2.simulate import (EventCapExceeded, ensemble, map_replicas, replica_rng,
-                           run, snapshot)
+from brw2.simulate import (FATE_BRANCHED, FATE_CENSORED, FATE_CONVERTED, FATE_DIED,
+                           FATE_JUMPED, EventCapExceeded, default_workers, ensemble,
+                           map_replicas, replica_rng, run, snapshot)
 
 
 def critical_model() -> TwoTypeModel:
@@ -17,6 +19,11 @@ def critical_model() -> TwoTypeModel:
                        beta1={(2, 0): 0.125, (1, 1): 0.125},
                        beta2={(0, 2): 0.125, (1, 1): 0.25})
     return TwoTypeModel(simple_kernel(1), uniform_range_kernel(1, 3), 1.0, 4.0, law)
+
+
+def _displacement(sim, idx) -> np.ndarray:
+    """The jump vector of record ``idx``: its kernel offset at ``aux_a``."""
+    return sim.model.kernel(int(sim.types[idx])).offsets[sim.aux_a[idx]]
 
 
 def walk_only_model(dim=1) -> TwoTypeModel:
@@ -77,12 +84,11 @@ class TestRunBasics:
         model = critical_model()
         sim = run(model, 8.0, [(1, 0), (2, 0)], seed=13)
         sup = {1: set(model.kernel1.support), 2: set(model.kernel2.support)}
-        seen_jump = False
-        for rec in sim.records():
-            if rec.fate == "jumped":
-                seen_jump = True
-                assert rec.displacement in sup[rec.ptype]
-        assert seen_jump
+        jumped = np.nonzero(sim.fates == FATE_JUMPED)[0]
+        assert len(jumped) > 0
+        for idx in jumped:
+            ptype = int(sim.types[idx])
+            assert tuple(int(c) for c in _displacement(sim, idx)) in sup[ptype]
 
     def test_fate_offspring_consistency(self):
         """Replaying fates must reproduce exactly the recorded children."""
@@ -91,23 +97,29 @@ class TestRunBasics:
         for idx in range(sim.n_records):
             children.setdefault(int(sim.parents[idx]), []).append(idx)
         for idx in range(sim.n_records):
-            rec = sim.record(idx)
-            kids = [sim.record(k) for k in children.get(idx, [])]
-            if rec.fate in ("died", "censored"):
+            fate = int(sim.fates[idx])
+            pos = sim.positions[idx].tolist()
+            kids = children.get(idx, [])
+            kid_types = [int(sim.types[c]) for c in kids]
+            kid_pos = [sim.positions[c].tolist() for c in kids]
+            if fate in (FATE_DIED, FATE_CENSORED):
                 assert kids == []
-            elif rec.fate == "branched":
-                k, l = rec.offspring
+            elif fate == FATE_BRANCHED:
+                k, l = int(sim.aux_a[idx]), int(sim.aux_b[idx])
                 assert len(kids) == k + l
-                assert sum(1 for c in kids if c.ptype == 1) == k
-                assert sum(1 for c in kids if c.ptype == 2) == l
-                assert all(c.position == rec.position and c.t1 == rec.t2 for c in kids)
-            elif rec.fate == "converted":
-                assert len(kids) == 1 and kids[0].ptype == 2
-                assert kids[0].position == rec.position
-            elif rec.fate == "jumped":
-                assert len(kids) == 1 and kids[0].ptype == rec.ptype
-                moved = tuple(a + b for a, b in zip(rec.position, rec.displacement))
-                assert kids[0].position == moved
+                assert kid_types.count(1) == k
+                assert kid_types.count(2) == l
+                assert all(x == pos for x in kid_pos)
+                assert all(sim.t1[c] == sim.t2[idx] for c in kids)
+            elif fate == FATE_CONVERTED:
+                assert len(kids) == 1 and kid_types == [2]
+                assert kid_pos == [pos]
+            elif fate == FATE_JUMPED:
+                assert len(kids) == 1 and kid_types == [int(sim.types[idx])]
+                moved = (sim.positions[idx] + _displacement(sim, idx)).tolist()
+                assert kid_pos == [moved]
+            else:
+                pytest.fail(f"record {idx} has unknown fate code {fate}")
 
     def test_event_cap_raises(self):
         law = BranchingLaw(mu1=0.0, mu2=0.0, beta1={(2, 0): 2.0})
@@ -134,11 +146,12 @@ class TestSnapshot:
 
     def test_membership_rule_against_record_loop(self):
         sim = run(critical_model(), 6.0, [(1, 0)], seed=29)
+        records = list(zip(sim.t1.tolist(), sim.t2.tolist(), sim.fates.tolist()))
         rng = np.random.default_rng(1)
         for t in rng.uniform(0, 6, size=100):
             by_loop = sum(
-                1 for rec in sim.records()
-                if rec.t1 <= t and (t < rec.t2 or (rec.fate == "censored" and t <= rec.t2)))
+                1 for t1, t2, fate in records
+                if t1 <= t and (t < t2 or (fate == FATE_CENSORED and t <= t2)))
             assert by_loop == int(sim.alive_mask(float(t)).sum())
 
     def test_out_of_range_time(self):
@@ -222,6 +235,39 @@ class TestEnsemble:
         assert res == [0, 1, 2, 3] and fails == []
         with pytest.raises(ValueError):
             map_replicas(model, 1.0, [(1, 0)], 0, 9, lambda s: None)
+
+    def test_worker_count_from_brw2_threads(self, monkeypatch):
+        monkeypatch.delenv("BRW2_THREADS", raising=False)
+        assert default_workers() == 1
+        monkeypatch.setenv("BRW2_THREADS", "3")
+        assert default_workers() == 3
+        for bad in ("0", "-2", "two", "1.5", ""):
+            monkeypatch.setenv("BRW2_THREADS", bad)
+            with pytest.raises(ValueError, match="BRW2_THREADS"):
+                default_workers()
+
+    def test_pool_never_larger_than_replica_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the requested size and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        res, _ = map_replicas(walk_only_model(), 1.0, [(1, 0)], 3, 9, _total_at_1,
+                              n_workers=64)
+        assert sizes == [3] and res == [1, 1, 1]
 
     def test_parallel_workers_agree_with_sequential(self):
         model = critical_model()
