@@ -16,14 +16,13 @@ __version__ = "0.1.0"
 from .branching import (BranchingLaw, Classification, DerivedConstants, TwoTypeModel,
                         classify_criticality, derive_constants, theta_coefficients)
 from .lattice import (JumpKernel, ThetaGrid, fourier_symbol, gamma_constant,
-                      gaussian_asymptote, sample_jump, simple_kernel,
-                      transition_probability, uniform_range_kernel)
+                      gaussian_asymptote, simple_kernel, transition_probability,
+                      uniform_range_kernel)
 
 __all__ = [
     "__version__",
     "JumpKernel", "ThetaGrid", "fourier_symbol", "transition_probability",
-    "gaussian_asymptote", "gamma_constant", "sample_jump", "simple_kernel",
-    "uniform_range_kernel",
+    "gaussian_asymptote", "gamma_constant", "simple_kernel", "uniform_range_kernel",
     "BranchingLaw", "DerivedConstants", "TwoTypeModel", "Classification",
     "derive_constants", "classify_criticality", "theta_coefficients",
 ]

@@ -90,29 +90,6 @@ class BranchingLaw:
         object.__setattr__(self, "beta2", b2)
         object.__setattr__(self, "conversion_rate", r)
 
-    def beta1_map(self) -> dict[tuple[int, int], float]:
-        return {(k, l): rate for k, l, rate in self.beta1}
-
-    def beta2_map(self) -> dict[tuple[int, int], float]:
-        return {(k, l): rate for k, l, rate in self.beta2}
-
-    def total_rate(self, ptype: int) -> float:
-        """Total branching intensity of one particle of ``ptype`` (excl. walk)."""
-        if ptype == 1:
-            return self.mu1 + sum(r for _, _, r in self.beta1) + self.conversion_rate
-        return self.mu2 + sum(r for _, _, r in self.beta2)
-
-    def carleman_check(self, c0: float) -> bool:
-        """Whether beta_i(k,l) <= c0^(k+l) / (k! l!) holds for every entry.
-
-        Reported as metadata only; never enforced.
-        """
-        for entries in (self.beta1, self.beta2):
-            for k, l, rate in entries:
-                if rate > c0 ** (k + l) / (math.factorial(k) * math.factorial(l)):
-                    return False
-        return True
-
 
 def _to_items(entries):
     if isinstance(entries, dict):
@@ -130,8 +107,6 @@ class DerivedConstants:
     r2: float
     c1: float            # (r1 + r2) / 2
     c2: float            # sqrt((r1 - r2)^2 + 4 b c) / 2
-    beta_total: tuple[float, float]
-    beta2nd: float       # sum k (k-1) beta_1(k, l): type-1 second factorial rate
     factorial_density: np.ndarray = field(repr=False)  # (2, 2, 2): b^{(i)}_{jk}
     matrix_d: np.ndarray = field(repr=False)           # [[r1, b], [c, r2]]
     perron_root: float = 0.0
@@ -149,7 +124,6 @@ def derive_constants(law: BranchingLaw) -> DerivedConstants:
     r2 = sum((l - 1) * r for _, l, r in b2) - law.mu2
     c1 = 0.5 * (r1 + r2)
     c2 = 0.5 * math.sqrt((r1 - r2) ** 2 + 4 * b * c)
-    beta_total = (sum(r for _, _, r in b1), sum(r for _, _, r in b2))
     dens = np.zeros((2, 2, 2))
     for i, entries in ((0, b1), (1, b2)):
         dens[i, 0, 0] = sum(k * (k - 1) * r for k, _, r in entries)
@@ -184,9 +158,9 @@ def derive_constants(law: BranchingLaw) -> DerivedConstants:
     else:
         defective = True
     return DerivedConstants(
-        b=b, c=c, r1=r1, r2=r2, c1=c1, c2=c2, beta_total=beta_total,
-        beta2nd=float(dens[0, 0, 0]), factorial_density=dens, matrix_d=matrix_d,
-        perron_root=root, left_eig=u, right_eig=v, defective=defective)
+        b=b, c=c, r1=r1, r2=r2, c1=c1, c2=c2, factorial_density=dens,
+        matrix_d=matrix_d, perron_root=root, left_eig=u, right_eig=v,
+        defective=defective)
 
 
 class Classification(NamedTuple):
@@ -259,18 +233,12 @@ class TwoTypeModel:
 class ThetaCoefficients(NamedTuple):
     a: np.ndarray        # kappa_1 ahat_1(theta) + r1
     d: np.ndarray        # kappa_2 ahat_2(theta) + r2
-    lam1: np.ndarray     # larger root
-    lam2: np.ndarray     # smaller root
-    big_d: np.ndarray    # discriminant (a - d)^2 + 4 b c >= 0
 
 
 def theta_coefficients(model: TwoTypeModel, theta) -> ThetaCoefficients:
-    """Fourier-space drift coefficients and characteristic roots at ``theta``."""
+    """Fourier-space drift coefficients at ``theta``; the characteristic
+    roots live in ``moments.fundamental_solution``."""
     dc = model.derived
     a = model.kappa1 * fourier_symbol(model.kernel1, theta) + dc.r1
     d = model.kappa2 * fourier_symbol(model.kernel2, theta) + dc.r2
-    big_d = (a - d) ** 2 + 4 * dc.b * dc.c
-    sq = np.sqrt(big_d)
-    lam1 = 0.5 * (a + d + sq)
-    lam2 = 0.5 * (a + d - sq)
-    return ThetaCoefficients(a, d, lam1, lam2, big_d)
+    return ThetaCoefficients(a, d)

@@ -28,7 +28,8 @@ from .clusters import cell_stats_2d, cluster_stats_1d, occupied_sites_1d, \
 from .config import ConfigError, RunConfig, config_hash, parse_config, preset, \
     PRESET_NAMES
 from .csvio import write_csv, write_manifest
-from .epidemic import correlation_ode, epidemic_first_moment_profiles, epidemic_m2
+from .epidemic import M1_FLOOR, correlation_ode, epidemic_first_moment_profiles, \
+    epidemic_m2
 from .moments import (box_sites, first_moment_field, first_moment_ode_oracle,
                       second_moment_field, second_moment_ode_oracle)
 from .simulate import FATE_BRANCHED, FATE_JUMPED, FATE_NAMES, SimulationRun, \
@@ -157,10 +158,6 @@ def _cluster_rows_1d(sim: SimulationRun, t_list, window) -> list[list]:
     return rows
 
 
-def _start_points(sim: SimulationRun, t_list) -> dict:
-    return {t: surviving_start_points(sim, t) for t in t_list}
-
-
 def command_clusters(cfg: RunConfig) -> int:
     model = cfg.build_model()
     exp = cfg.experiment
@@ -173,7 +170,7 @@ def command_clusters(cfg: RunConfig) -> int:
     if cfg.dim == 1:
         reducer = partial(_cluster_rows_1d, t_list=exp.t_list, window=window[0])
     else:
-        reducer = partial(_start_points, t_list=exp.t_list)
+        reducer = partial(surviving_start_points, t_list=exp.t_list)
     results, failures = map_replicas(model, exp.horizon, initial, exp.replicas,
                                      exp.seed, reducer, event_cap=exp.event_cap)
     done = [(rid, res) for rid, res in enumerate(results) if res is not None]
@@ -215,7 +212,7 @@ def command_epidemic(cfg: RunConfig) -> int:
         m2 = epidemic_m2(law, k1, cfg.kappa1, t, (0,) * cfg.dim, (0,) * cfg.dim,
                          grid, exp.box_radius)
         m1_diag = float(r1[(exp.box_radius,) * cfg.dim])
-        ratio = m2.value / m1_diag ** 2 if m1_diag > 1e-280 else float("nan")
+        ratio = m2.value / m1_diag ** 2 if m1_diag > M1_FLOOR else float("nan")
         flat1, flat2 = r1.reshape(-1), r2.reshape(-1)
         for s, site in enumerate(box_sites(exp.box_radius, cfg.dim)):
             rows.append([t, *site, flat1[s], flat2[s], m2.value, ratio])

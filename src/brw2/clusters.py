@@ -267,11 +267,15 @@ class CellReport:
     degenerate_fraction: float
 
 
-def surviving_start_points(sim: SimulationRun, t: float) -> set[tuple[int, ...]]:
-    """Start positions of subpopulations with a live descendant at t."""
+def surviving_start_points(sim: SimulationRun, t_list) -> dict[float, set[tuple[int, ...]]]:
+    """Per t in ``t_list``, the start positions of subpopulations with a live
+    descendant at t.  The ancestry is traced once for all times."""
     roots = sim.root_of()
-    alive_roots = np.unique(roots[sim.alive_mask(t)])
-    return {tuple(int(c) for c in sim.positions[r]) for r in alive_roots}
+    out = {}
+    for t in t_list:
+        alive_roots = np.unique(roots[sim.alive_mask(t)])
+        out[t] = {tuple(int(c) for c in sim.positions[r]) for r in alive_roots}
+    return out
 
 
 def cell_stats_2d(surviving_starts, t: float, nu_value: float, c_hat: float,

@@ -117,11 +117,12 @@ class RunConfig:
         return ((1, (0,) * self.dim),)
 
     def with_overrides(self, **kw) -> "RunConfig":
-        """Flag overrides: replicas, seed, out_dir, t_list, box_radius, grid_nodes."""
+        """Flag overrides; the keys are replicas, seed, out_dir, t_list (which
+        also sets the horizon to its maximum), box_radius and grid_nodes.  A
+        key given as None keeps the config's value."""
         exp = self.experiment
         exp_updates = {}
-        for key in ("replicas", "seed", "out_dir", "box_radius", "grid_nodes",
-                    "event_cap"):
+        for key in ("replicas", "seed", "out_dir", "box_radius", "grid_nodes"):
             if kw.get(key) is not None:
                 exp_updates[key] = kw[key]
         if kw.get("t_list") is not None:

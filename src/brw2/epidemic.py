@@ -13,8 +13,8 @@ moments R1 = m_11 and R2 = m_12 and the second moment of the infected count
 
     M2(t,x,y) = M1(t,x,y) + beta2 int_0^t sum_w M1(t-s,x,w) M1^2(s,w,y) ds
 
-are therefore views of ``brw2.moments``; ``epidemic_m2_ode`` integrates the
-M2 equation directly as an independent check.  The pair correlation
+are therefore views of ``brw2.moments``, and ``moments.second_moment_ode_oracle``
+on the same law is their independent box-ODE check.  The pair correlation
 functions R11, R12, R22 close into a linear ODE system driven by the first
 moments.  The pair system is integrated over full (x, y) boxes: the
 single-particle initial condition delta_0(x) delta_0(y) is not translation
@@ -35,22 +35,19 @@ import numpy as np
 
 from .branching import BranchingLaw, TwoTypeModel
 from .lattice import JumpKernel, ThetaGrid
-from .moments import (BOUNDARY_TOL, BoxTransform, _as_times, _box_shape,
-                      _first_moment_box, _second_moment_symbols, _solve_chained,
-                      box_sites, build_box_generator, first_moment_fourier)
+from .moments import (BOUNDARY_TOL, BoxTransform, _as_times, _first_moment_box,
+                      _phase_sum, _second_moment_symbols, _solve_chained, box_sites,
+                      build_box_generator, first_moment_symbols)
 
 __all__ = [
     "EpidemicLaw",
     "CorrelationField",
     "M2Value",
     "RatioPoint",
-    "epidemic_first_moments",
     "epidemic_first_moment_profiles",
     "epidemic_m2",
-    "epidemic_m2_ode",
     "intermittency_ratio",
     "correlation_ode",
-    "gk_ode",
 ]
 
 M1_FLOOR = 1e-280
@@ -126,15 +123,6 @@ def epidemic_first_moment_profiles(law: EpidemicLaw, kernel1: JumpKernel,
     return m1[0, 0], m1[0, 1]
 
 
-def epidemic_first_moments(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
-                           kernel2: JumpKernel, kappa2: float, t: float, x,
-                           grid: ThetaGrid | None = None) -> tuple[float, float]:
-    """(R1(t, x), R2(t, x)) at a single site."""
-    model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
-    m1 = first_moment_fourier(model, t, x, grid)
-    return float(m1[0, 0]), float(m1[0, 1])
-
-
 class M2Value(NamedTuple):
     value: float
     boundary_mass: float
@@ -157,41 +145,8 @@ def epidemic_m2(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t: float,
     sym2, defect, converged = _second_moment_symbols(model, t, grid,
                                                      BoxTransform(grid, box_radius))
     u = np.asarray(_vec(y), dtype=np.float64) - np.asarray(_vec(x), dtype=np.float64)
-    value = float((sym2[0, 0] @ np.cos(grid.points @ u)).real) / grid.n_points
-    return M2Value(value=value, boundary_mass=defect,
+    return M2Value(value=float(_phase_sum(sym2[0, 0], grid, u)), boundary_mass=defect,
                    degraded=defect > BOUNDARY_TOL or not converged)
-
-
-def epidemic_m2_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t,
-                    box_radius: int, boundary_tol: float = BOUNDARY_TOL):
-    """Direct box integration of the M2 equation (independent oracle route).
-
-    Returns (m1_field, m2_field, boundary_mass) per time, fields over x with
-    y = 0; M1 is co-integrated from its own equation.
-    """
-    times, scalar = _as_times(t)
-    op, outflow = build_box_generator(kernel1, kappa1, box_radius)
-    n = op.shape[0]
-    center = (n - 1) // 2
-    a_gr, b2 = law.growth, law.beta2
-
-    def rhs(_s, yv):
-        m1 = yv[:n]
-        m2 = yv[n:2 * n]
-        dm1 = op @ m1 + a_gr * m1
-        dm2 = op @ m2 + a_gr * m2 + b2 * m1 ** 2
-        return np.concatenate([dm1, dm2, [outflow @ m2]])
-
-    y0 = np.zeros(2 * n + 1)
-    y0[center] = 1.0
-    y0[n + center] = 1.0
-    states = _solve_chained(rhs, y0, times, max_step=4.0 / (kappa1 + abs(a_gr) + 1.0))
-    out = []
-    shape = _box_shape(box_radius, kernel1.dim)
-    for col in states:
-        out.append((col[:n].reshape(shape).copy(), col[n:2 * n].reshape(shape).copy(),
-                    float(abs(col[-1]))))
-    return out[0] if scalar else out
 
 
 @dataclass(frozen=True)
@@ -212,15 +167,14 @@ def intermittency_ratio(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     Each point records whether |x - y| <= regime_c * sqrt(t); M1 underflow
     (below the floor) yields a flagged point instead of a fabricated ratio.
     """
-    xv = np.asarray(_vec(x), dtype=float)
-    yv = np.asarray(_vec(y), dtype=float)
-    dist = float(np.linalg.norm(yv - xv))
+    u = np.asarray(_vec(y), dtype=float) - np.asarray(_vec(x), dtype=float)
+    dist = float(np.linalg.norm(u))
     g = grid or ThetaGrid.for_dim(kernel1.dim)
+    model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
     out = []
     for t in sorted(float(v) for v in t_list):
         m2 = epidemic_m2(law, kernel1, kappa1, t, x, y, g, box_radius)
-        m1, _ = epidemic_first_moments(law, kernel1, kappa1, kernel1, kappa1, t,
-                                       tuple(yv - xv), g)
+        m1 = float(_phase_sum(first_moment_symbols(model, t, g.points)[0, 0], g, u))
         in_regime = dist <= regime_c * math.sqrt(t) if t > 0 else True
         if m1 <= M1_FLOOR:
             out.append(RatioPoint(t=t, ratio=None, m1=m1, m2=m2.value,
@@ -359,34 +313,3 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
             r11=0.5 * (r11 + r11.T), r12=r12.copy(), r22=0.5 * (r22 + r22.T),
             boundary_mass=flux, degraded=flux > boundary_tol))
     return out[0] if scalar else out
-
-
-def gk_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
-           kernel2: JumpKernel, kappa2: float, t: float, box_radius: int):
-    """Direct integration of the product-moment identities:
-
-        G' = (L1x + L2y) G + (A - mu2) G + r K,      G(0) = 0,
-        K' = (L1x + L1y) K + 2 A K,                  K(0) = delta_0 x delta_0.
-
-    Their solutions must equal R1(x) R2(y) and R1(x) R1(y) computed from the
-    (box-truncated) first moments; exposed for the property test.
-    """
-    op1, _ = build_box_generator(kernel1, kappa1, box_radius)
-    op2, _ = build_box_generator(kernel2, kappa2, box_radius)
-    n = op1.shape[0]
-    center = (n - 1) // 2
-    a_gr, mu2, r = law.growth, law.mu2, law.conversion_rate
-    op1t, op2t = op1.T.tocsr(), op2.T.tocsr()
-
-    def rhs(_s, yv):
-        g = yv[:n * n].reshape(n, n)
-        k = yv[n * n:].reshape(n, n)
-        dg = op1 @ g + g @ op2t + (a_gr - mu2) * g + r * k
-        dk = op1 @ k + k @ op1t + 2.0 * a_gr * k
-        return np.concatenate([dg.ravel(), dk.ravel()])
-
-    y0 = np.zeros(2 * n * n)
-    y0[n * n + center * n + center] = 1.0
-    col, = _solve_chained(rhs, y0, [float(t)],
-                          max_step=4.0 / (kappa1 + kappa2 + abs(a_gr) + mu2 + r + 1.0))
-    return col[:n * n].reshape(n, n).copy(), col[n * n:].reshape(n, n).copy()

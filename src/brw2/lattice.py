@@ -30,7 +30,6 @@ __all__ = [
     "transition_profile",
     "gaussian_asymptote",
     "gamma_constant",
-    "sample_jump",
     "simple_kernel",
     "uniform_range_kernel",
     "KernelError",
@@ -132,16 +131,6 @@ class JumpKernel:
     def support(self) -> list[tuple[int, ...]]:
         return [tuple(int(c) for c in v) for v in self.offsets]
 
-    def weight_of(self, v) -> float:
-        v = _as_vector(v)
-        for off, w in zip(self.support, self.weights):
-            if off == v:
-                return float(w)
-        return 0.0
-
-    def cumulative_weights(self) -> np.ndarray:
-        return np.cumsum(self.weights)
-
 
 def simple_kernel(dim: int = 1) -> JumpKernel:
     """Nearest-neighbour kernel: a(+-e_k) = 1/(2d)."""
@@ -166,7 +155,8 @@ class ThetaGrid:
     """Midpoint tensor rule for torus integrals over [-pi, pi]^d.
 
     Axis nodes are theta_k = -pi + (k + 1/2) * 2 pi / M, so the grid is
-    symmetric under theta -> -theta and the weights sum to (2 pi)^d.
+    symmetric under theta -> -theta, and the rule takes (2 pi)^{-d} times an
+    integral to be the mean of the integrand over the ``n_points`` nodes.
     """
 
     dim: int
@@ -198,16 +188,8 @@ class ThetaGrid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     @property
-    def node_weight(self) -> float:
-        return (2 * np.pi / self.nodes_per_axis) ** self.dim
-
-    @property
     def n_points(self) -> int:
         return self.nodes_per_axis ** self.dim
-
-    def average(self, values: np.ndarray) -> np.ndarray:
-        """(2 pi)^{-d} * quadrature of ``values`` sampled on ``points``."""
-        return np.asarray(values).mean(axis=-1)
 
 
 def fourier_symbol(kernel: JumpKernel, theta) -> np.ndarray | float:
@@ -280,11 +262,3 @@ def gaussian_asymptote(kernel: JumpKernel, kappa: float, t: float, s) -> float:
     quad = float(sv @ np.linalg.solve(b, sv))
     det_b = float(np.linalg.det(b))
     return math.exp(-quad / (2 * kappa * t)) / ((2 * np.pi * kappa * t) ** (d / 2.0) * math.sqrt(det_b))
-
-
-def sample_jump(kernel: JumpKernel, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one displacement v with probability a(v); advances ``rng``."""
-    u = rng.random()
-    idx = int(np.searchsorted(kernel.cumulative_weights(), u, side="right"))
-    idx = min(idx, len(kernel.weights) - 1)
-    return tuple(int(c) for c in kernel.offsets[idx])

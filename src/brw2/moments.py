@@ -40,7 +40,8 @@ import scipy.sparse
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
-from .branching import TwoTypeModel, theta_coefficients
+from .branching import DerivedConstants, ThetaCoefficients, TwoTypeModel, \
+    theta_coefficients
 from .lattice import JumpKernel, ThetaGrid, gamma_constant
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "build_box_generator",
     "fundamental_solution",
     "first_moment_symbols",
-    "first_moment_fourier",
     "first_moment_field",
     "first_moment_ode_oracle",
     "second_moment_field",
@@ -172,29 +172,34 @@ def fundamental_solution(a, d, b: float, c: float, t) -> np.ndarray:
     """
     a, d, t = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (a, d, t)))
     sq = np.sqrt((a - d) ** 2 + 4.0 * b * c)
-    lam2 = 0.5 * (a + d - sq)
-    lam1 = lam2 + sq
-    quot = _exp_diff_quotient(lam1, lam2, t)
-    e2 = np.exp(lam2 * t)
+    root_lo = 0.5 * (a + d - sq)
+    root_hi = root_lo + sq
+    quot = _exp_diff_quotient(root_hi, root_lo, t)
+    e2 = np.exp(root_lo * t)
     u = np.empty((2, 2) + a.shape)
-    u[0, 0] = e2 + (a - lam2) * quot
+    u[0, 0] = e2 + (a - root_lo) * quot
     u[0, 1] = b * quot
     u[1, 0] = c * quot
-    u[1, 1] = e2 + (d - lam2) * quot
+    u[1, 1] = e2 + (d - root_lo) * quot
     return u
 
 
 def first_moment_symbols(model: TwoTypeModel, t, theta_points: np.ndarray) -> np.ndarray:
     """Fourier transforms mhat^(1)_{ij}(t, theta, 0), shape (2, 2) + broadcast.
 
-    Selects the closed-form case by the sign pattern of (b, c); the
-    degenerate a(theta) = d(theta) split is realized inside the stable
-    difference quotient, which converges to the t e^{at} limit form.  A
-    conversion rate r is already in b and r1, so the epidemic law is the
+    A conversion rate r is already in b and r1, so the epidemic law is the
     c = 0 case: m_11 = R1 and m_12 = R2 of the infected/immune model.
     """
-    dc = model.derived
-    coef = theta_coefficients(model, theta_points)
+    return _moment_symbols(theta_coefficients(model, theta_points), model.derived, t)
+
+
+def _moment_symbols(coef: ThetaCoefficients, dc: DerivedConstants, t) -> np.ndarray:
+    """First-moment symbols from drift coefficients already on the theta points.
+
+    Selects the closed-form case by the sign pattern of (b, c); the
+    degenerate a(theta) = d(theta) split is realized inside the stable
+    difference quotient, which converges to the t e^{at} limit form.
+    """
     a, d, tt = np.broadcast_arrays(coef.a, coef.d, np.asarray(t, dtype=np.float64))
     b, c = dc.b, dc.c
     if b > 0.0 and c > 0.0:
@@ -207,6 +212,14 @@ def first_moment_symbols(model: TwoTypeModel, t, theta_points: np.ndarray) -> np
     elif b > 0.0:      # c = 0
         out[0, 1] = b * _exp_diff_quotient(a, d, tt)
     return out
+
+
+def _phase_sum(symbols: np.ndarray, grid: ThetaGrid, u) -> np.ndarray:
+    """Inverse transform at the single offset u: the symbols on ``grid``
+    summed against cos(theta . u) and divided by the node count.  u need
+    not lie in any box."""
+    phase = np.cos(grid.points @ np.asarray(u, dtype=np.float64))
+    return (symbols @ phase).real / grid.n_points
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +268,6 @@ class MomentField:
     @property
     def sites(self) -> np.ndarray:
         return box_sites(self.box_radius, self.dim)
-
-
-def first_moment_fourier(model: TwoTypeModel, t: float, x,
-                         grid: ThetaGrid | None = None) -> np.ndarray:
-    """2x2 matrix of m^(1)_{ij}(t, x, 0) by quadrature of the closed forms."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    grid = grid or ThetaGrid.for_dim(model.dim)
-    pts = grid.points
-    sym = first_moment_symbols(model, t, pts)
-    xv = np.asarray((x,) if isinstance(x, (int, np.integer)) else tuple(x),
-                    dtype=np.float64)
-    phase = np.cos(pts @ xv)
-    return sym @ phase / grid.n_points
 
 
 def first_moment_field(model: TwoTypeModel, t: float, box_radius: int,
@@ -452,13 +451,17 @@ def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
 # second moments, Fourier/Duhamel route
 # ---------------------------------------------------------------------------
 
-def _duhamel_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
-                     tr: BoxTransform, n_nodes: int) -> tuple[np.ndarray, float]:
-    """mhat^(2)(t, theta, 0) with a fixed Gauss-Legendre node count."""
+def _duhamel_symbols(model: TwoTypeModel, t: float, tr: BoxTransform,
+                     coef: ThetaCoefficients, coef0: ThetaCoefficients,
+                     n_nodes: int) -> tuple[np.ndarray, float]:
+    """mhat^(2)(t, theta, 0) with a fixed Gauss-Legendre node count.
+
+    ``coef`` holds the drift coefficients on the grid points and ``coef0``
+    those at theta = 0, computed once per second-moment call.
+    """
     dc = model.derived
     dens = dc.factorial_density
-    pts = grid.points
-    coef = theta_coefficients(model, pts)
+    n_points = tr.grid.n_points
     x, w = leggauss(n_nodes)
     s_nodes, w = 0.5 * t * (x + 1.0), 0.5 * t * w
 
@@ -470,15 +473,15 @@ def _duhamel_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
     for lo in range(0, n_nodes, block):
         s_blk = s_nodes[lo:lo + block]
         w_blk = w[lo:lo + block]
-        sym1 = first_moment_symbols(model, s_blk[:, None], pts)    # (2, 2, B, N)
+        sym1 = _moment_symbols(coef, dc, s_blk[:, None])           # (2, 2, B, N)
         m1 = tr.to_box(sym1.astype(complex))
         m1 = m1.reshape(2, 2, len(s_blk), -1)
         # worst box-mass defect of the convolution inputs
         tot = m1.sum(axis=-1)
-        sym0 = first_moment_symbols(model, s_blk[:, None], np.zeros((1, model.dim)))
+        sym0 = _moment_symbols(coef0, dc, s_blk[:, None])
         defect = max(defect, float(np.abs(tot - sym0[..., 0]).max()))
         prod = np.stack([m1[0] * m1[0], m1[1] * m1[1], m1[0] * m1[1]])
-        fhat = np.empty((2, 2, len(s_blk), grid.n_points), dtype=complex)
+        fhat = np.empty((2, 2, len(s_blk), n_points), dtype=complex)
         for i in range(2):
             comb = (dens[i, 0, 0] * prod[0] + dens[i, 1, 1] * prod[1]
                     + 2.0 * dens[i, 0, 1] * prod[2])
@@ -503,14 +506,16 @@ def _second_moment_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    coef = theta_coefficients(model, grid.points)
     if t == 0.0:
-        return first_moment_symbols(model, 0.0, grid.points).astype(complex), 0.0, True
+        return _moment_symbols(coef, model.derived, 0.0).astype(complex), 0.0, True
+    coef0 = theta_coefficients(model, np.zeros((1, model.dim)))
     nodes = QUAD_START_NODES
-    sym2, defect = _duhamel_symbols(model, t, grid, tr, nodes)
+    sym2, defect = _duhamel_symbols(model, t, tr, coef, coef0, nodes)
     vals = tr.to_box(sym2)
     while 2 * nodes <= QUAD_MAX_NODES:
         nodes *= 2
-        sym2, defect = _duhamel_symbols(model, t, grid, tr, nodes)
+        sym2, defect = _duhamel_symbols(model, t, tr, coef, coef0, nodes)
         prev, vals = vals, tr.to_box(sym2)
         if np.abs(vals - prev).max() <= QUAD_TOL * (1.0 + np.abs(vals).max()):
             return sym2, defect, True

@@ -183,7 +183,7 @@ class _CompiledType:
         bounds.append(acc)                     # conversion (zero-width for type 2)
         self.convert_slot = 1 + self.n_branch
         self.bounds = bounds                   # jump fills the remainder to 1
-        self.jump_cum = kernel.cumulative_weights().tolist()
+        self.jump_cum = np.cumsum(kernel.weights).tolist()
         self.jump_offsets = [tuple(int(c) for c in v) for v in kernel.offsets]
 
 

@@ -6,6 +6,7 @@ the suite is deterministic end to end.
 """
 
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -89,19 +90,7 @@ def test_a3_monte_carlo_matches_moment_engine(figure_g3_model):
     times = (1.0, 2.0)
     sites = tuple(range(-2, 3))
     n_rep = 10_000
-
-    def counts_reducer(sim):
-        out = np.zeros((len(times), 2, len(sites)), dtype=np.int64)
-        for ti, t in enumerate(times):
-            mask = sim.alive_mask(t)
-            pos = sim.positions[mask, 0]
-            tp = sim.types[mask]
-            for si, x in enumerate(sites):
-                at = pos == x
-                out[ti, 0, si] = int((at & (tp == 1)).sum())
-                out[ti, 1, si] = int((at & (tp == 2)).sum())
-        return out
-
+    counts_reducer = partial(_a3_site_counts, times=times, sites=sites)
     f1 = {t: first_moment_field(model, t, BOX) for t in times}
     f2 = {t: second_moment_field(model, t, BOX) for t in times}
     worst_z1 = worst_z2 = 0.0
@@ -145,7 +134,7 @@ def test_a5_critical_survival_laws(figure_g3_model):
     binary = TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 1.0, law)
     n_rep = 10_000
     res, _ = map_replicas(binary, 10.0, [(1, 0)], n_rep, 11,
-                          lambda s: int(s.alive_mask(10.0).sum() > 0))
+                          partial(_a5_survived, t=10.0))
     p_hat = sum(res) / n_rep
     se = math.sqrt(p_hat * (1 - p_hat) / n_rep)
     expect = 1.0 / (1.0 + lam * 10.0)
@@ -189,21 +178,8 @@ def fig_z1_lengths():
     model = cfg.build_model()
     xs = [x[0] for _, x in cfg.experiment.initial]
     block = (min(xs), max(xs))
-
-    def lengths_reducer(sim):
-        out = []
-        for t in A7_TIMES:
-            occ = occupied_sites_1d(sim, t)
-            pos = sim.positions[sim.alive_mask(t), 0]
-            pos = pos[(pos >= block[0]) & (pos <= block[1])]
-            counts = np.bincount(pos - block[0], minlength=block[1] - block[0] + 1)
-            out.append((cluster_stats_1d(occ, t=t, window=block),
-                        cluster_stats_1d(occ, t=t, gap_tolerance=4),
-                        counts))
-        return out
-
     rows, fails = map_replicas(model, 200.0, cfg.experiment.initial, 32, 7,
-                               lengths_reducer)
+                               partial(_a7_lengths, block=block))
     assert not fails
     return rows
 
@@ -269,18 +245,8 @@ def test_a8_epidemic_consistency():
     times = (1.0, 2.0)
     sites = tuple(range(-2, 3))
     n_rep = 10_000
-
-    def counts(sim):
-        out = np.zeros((len(times), len(sites)), dtype=np.int64)
-        for ti, t in enumerate(times):
-            mask = sim.alive_mask(t)
-            pos = sim.positions[mask, 0]
-            tp = sim.types[mask]
-            for si, x in enumerate(sites):
-                out[ti, si] = int(((pos == x) & (tp == 1)).sum())
-        return out
-
-    rows, _ = map_replicas(model, max(times), [(1, 0)], n_rep, 515, counts)
+    rows, _ = map_replicas(model, max(times), [(1, 0)], n_rep, 515,
+                           partial(_a8_infected_counts, times=times, sites=sites))
     arr = np.stack(rows).astype(float)
     grid = ThetaGrid.for_dim(1)
     worst_z = 0.0
@@ -326,3 +292,46 @@ def test_a9_determinism_byte_identical(tmp_path):
             checked.append(name)
     criterion("A9", identical,
               f"reruns with identical config+seed byte-identical: {checked}")
+
+
+# map_replicas reducers: module-level, so BRW2_THREADS > 1 can pickle them
+
+def _a3_site_counts(sim, times, sites):
+    out = np.zeros((len(times), 2, len(sites)), dtype=np.int64)
+    for ti, t in enumerate(times):
+        mask = sim.alive_mask(t)
+        pos = sim.positions[mask, 0]
+        tp = sim.types[mask]
+        for si, x in enumerate(sites):
+            at = pos == x
+            out[ti, 0, si] = int((at & (tp == 1)).sum())
+            out[ti, 1, si] = int((at & (tp == 2)).sum())
+    return out
+
+
+def _a5_survived(sim, t):
+    return int(sim.alive_mask(t).sum() > 0)
+
+
+def _a7_lengths(sim, block):
+    out = []
+    for t in A7_TIMES:
+        occ = occupied_sites_1d(sim, t)
+        pos = sim.positions[sim.alive_mask(t), 0]
+        pos = pos[(pos >= block[0]) & (pos <= block[1])]
+        counts = np.bincount(pos - block[0], minlength=block[1] - block[0] + 1)
+        out.append((cluster_stats_1d(occ, t=t, window=block),
+                    cluster_stats_1d(occ, t=t, gap_tolerance=4),
+                    counts))
+    return out
+
+
+def _a8_infected_counts(sim, times, sites):
+    out = np.zeros((len(times), len(sites)), dtype=np.int64)
+    for ti, t in enumerate(times):
+        mask = sim.alive_mask(t)
+        pos = sim.positions[mask, 0]
+        tp = sim.types[mask]
+        for si, x in enumerate(sites):
+            out[ti, si] = int(((pos == x) & (tp == 1)).sum())
+    return out

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from brw2.branching import (BranchingLaw, LawError, TwoTypeModel, classify_criticality,
                             derive_constants, theta_coefficients)
 from brw2.lattice import ThetaGrid, simple_kernel, uniform_range_kernel
+from brw2.moments import fundamental_solution
 
 
 def critical_two_type_law() -> BranchingLaw:
@@ -53,7 +56,7 @@ class TestDeriveConstants:
         dc = derive_constants(critical_two_type_law())
         npt.assert_allclose(dc.factorial_density[0], [[0.25, 0.125], [0.125, 0.0]])
         npt.assert_allclose(dc.factorial_density[1], [[0.0, 0.25], [0.25, 0.25]])
-        assert dc.beta2nd == 0.25
+        assert dc.factorial_density[0, 0, 0] == 0.25
 
 
 class TestClassify:
@@ -78,36 +81,45 @@ class TestClassify:
         assert cls.structure == "reducible"
 
 
-class TestThetaCoefficients:
-    def test_vieta_identities(self):
-        model = critical_model()
-        rng = np.random.default_rng(3)
-        theta = rng.uniform(-np.pi, np.pi, size=(100, 1))
+class TestCharacteristicRoots:
+    """The roots of [[a(theta), b], [c, d(theta)]], seen through U(t) = exp(t D(theta))."""
+
+    @staticmethod
+    def propagator(model, theta, t):
         coef = theta_coefficients(model, theta)
         dc = model.derived
-        npt.assert_allclose(coef.lam1 + coef.lam2, coef.a + coef.d, atol=1e-12)
-        npt.assert_allclose(coef.lam1 * coef.lam2,
-                            coef.a * coef.d - dc.b * dc.c, atol=1e-12)
-        assert (coef.lam1 >= coef.lam2).all()
+        return coef, fundamental_solution(coef.a, coef.d, dc.b, dc.c, t)
 
-    def test_discriminant_nonnegative_on_grid(self):
+    def test_determinant_is_trace_exponential(self):
+        # det U(t) is e^{root t} multiplied over both roots, e^{(a + d) t}
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(-np.pi, np.pi, size=(100, 1))
+        t = 2.0
+        coef, u = self.propagator(critical_model(), theta, t)
+        det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+        npt.assert_allclose(det, np.exp((coef.a + coef.d) * t), rtol=1e-10)
+
+    def test_nonnegative_on_grid(self):
+        _, u = self.propagator(critical_model(), ThetaGrid.for_dim(1).points, 2.0)
+        assert u.min() >= 0.0
+
+    def test_perron_root_at_zero(self):
+        # at theta = 0 the top eigenvalue of U(t) is e^{rho t}
         model = critical_model()
-        coef = theta_coefficients(model, ThetaGrid.for_dim(1).points)
-        assert coef.big_d.min() >= 0.0
+        t = 2.0
+        _, u = self.propagator(model, np.zeros((1, 1)), t)
+        top = np.linalg.eigvals(u[..., 0]).real.max()
+        npt.assert_allclose(top, math.exp(model.derived.perron_root * t), atol=1e-12)
 
-    def test_perron_equals_lam1_at_zero(self):
-        model = critical_model()
-        coef = theta_coefficients(model, np.zeros((1, 1)))
-        npt.assert_allclose(coef.lam1[0], model.derived.perron_root, atol=1e-12)
-
-    def test_decoupled_roots(self):
-        # b = c = 0: roots are just max/min of the drifts
+    def test_decoupled_is_diagonal(self):
+        # b = c = 0: U = diag(e^{a t}, e^{d t})
         law = BranchingLaw(mu1=0.3, mu2=0.7, beta1={(2, 0): 0.1}, beta2={(0, 2): 0.2})
         model = TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 2.0, law)
-        theta = np.array([[0.4], [2.2]])
-        coef = theta_coefficients(model, theta)
-        npt.assert_allclose(coef.lam1, np.maximum(coef.a, coef.d), atol=1e-14)
-        npt.assert_allclose(coef.lam2, np.minimum(coef.a, coef.d), atol=1e-14)
+        t = 1.5
+        coef, u = self.propagator(model, np.array([[0.4], [2.2]]), t)
+        npt.assert_allclose(u[0, 0], np.exp(coef.a * t), atol=1e-14)
+        npt.assert_allclose(u[1, 1], np.exp(coef.d * t), atol=1e-14)
+        assert (u[0, 1] == 0).all() and (u[1, 0] == 0).all()
 
 
 class TestLawValidation:
@@ -122,16 +134,6 @@ class TestLawValidation:
     def test_rejects_negative_mu(self):
         with pytest.raises(LawError):
             BranchingLaw(mu1=-0.1, mu2=0.0)
-
-    def test_total_rate(self):
-        law = critical_two_type_law()
-        assert law.total_rate(1) == pytest.approx(0.5)
-        assert law.total_rate(2) == pytest.approx(0.75)
-
-    def test_carleman_check(self):
-        law = critical_two_type_law()
-        assert law.carleman_check(2.0)          # 0.125 <= 4/2, 0.125 <= 4
-        assert not law.carleman_check(0.3)      # 0.25 > 0.09/1 for beta2(1,1)
 
     def test_kernel_dim_mismatch_in_model(self):
         with pytest.raises(LawError):

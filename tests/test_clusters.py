@@ -180,8 +180,9 @@ class TestCells:
         model = critical_binary_model(dim=2)
         initial = [(1, (x, y)) for x in range(0, 8, 4) for y in range(0, 8, 4)]
         sim = run(model, 10.0, initial, seed=41)
-        starts = surviving_start_points(sim, 10.0)
-        assert starts <= {x for _, x in initial}
+        starts = surviving_start_points(sim, [5.0, 10.0])
+        assert set(starts) == {5.0, 10.0}
+        assert starts[10.0] <= starts[5.0] <= {x for _, x in initial}
 
     def test_degenerate_cells_appear_for_critical_law(self):
         # at t = 100 with nu = log t, at least one degenerate cell in >= 50%
@@ -194,12 +195,12 @@ class TestCells:
         p_sum = 0.0
         for rid in range(n_rep):
             sim = run(model, t, initial, seed=4242, replica_id=rid)
-            starts = surviving_start_points(sim, t)
+            starts = surviving_start_points(sim, [t])[t]
             p_sum += len(starts) / len(initial)
         c_hat = max(p_sum / n_rep * t, 1e-9)
         for rid in range(n_rep):
             sim = run(model, t, initial, seed=4242, replica_id=rid)
-            starts = surviving_start_points(sim, t)
+            starts = surviving_start_points(sim, [t])[t]
             rep = cell_stats_2d(starts, t, nu_value=math.log(t), c_hat=c_hat,
                                 window=((0, 23), (0, 23)))
             if rep.degenerate_fraction > 0:

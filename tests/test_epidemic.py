@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -6,10 +7,10 @@ import pytest
 
 from brw2.branching import TwoTypeModel
 from brw2.epidemic import (EpidemicLaw, correlation_ode, epidemic_first_moment_profiles,
-                           epidemic_first_moments, epidemic_m2, epidemic_m2_ode,
-                           gk_ode, intermittency_ratio)
+                           epidemic_m2, intermittency_ratio)
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
-    transition_profile, uniform_range_kernel
+    uniform_range_kernel
+from brw2.moments import first_moment_ode_oracle, second_moment_ode_oracle
 from brw2.simulate import map_replicas
 
 K1 = simple_kernel(1)
@@ -45,45 +46,47 @@ class TestEpidemicLaw:
     def test_maps_onto_branching_law(self):
         law = immune_law()
         blaw = law.to_branching_law()
-        assert blaw.beta1_map() == {(2, 0): 0.5}
-        assert blaw.beta2_map() == {}
+        assert blaw.beta1 == ((2, 0, 0.5),)
+        assert blaw.beta2 == ()
         assert blaw.conversion_rate == 0.45
 
 
 class TestFirstMoments:
     def test_initial_condition(self):
         law = immune_law()
-        r1, r2 = epidemic_first_moments(law, K1, 1.0, K1, 1.0, 0.0, 0)
-        assert r1 == pytest.approx(1.0, abs=1e-12)
-        assert r2 == pytest.approx(0.0, abs=1e-12)
-        r1b, _ = epidemic_first_moments(law, K1, 1.0, K1, 1.0, 0.0, 3)
-        assert r1b == pytest.approx(0.0, abs=1e-12)
+        r1, r2 = epidemic_first_moment_profiles(law, K1, 1.0, K1, 1.0, 0.0, 3)
+        assert r1[3] == pytest.approx(1.0, abs=1e-12)        # x = 0
+        assert r2[3] == pytest.approx(0.0, abs=1e-12)
+        assert r1[6] == pytest.approx(0.0, abs=1e-12)        # x = 3
 
     def test_no_conversion_means_no_immune(self):
         law = EpidemicLaw(mu1=0.2, mu2=0.1, infection_rates={2: 0.3})
         for t in (0.5, 2.0):
-            _, r2 = epidemic_first_moments(law, K1, 1.0, K1, 1.0, t, 0)
-            assert abs(r2) < 1e-14
+            _, r2 = epidemic_first_moment_profiles(law, K1, 1.0, K1, 1.0, t, 0)
+            assert abs(r2[0]) < 1e-14
 
     def test_balanced_equal_kernel_closed_form(self):
         # A = 0, mu2 = 0, equal kernels: R1 = p(t, 0, x), R2 = r t p(t, 0, x)
         law = immune_law()           # A = 0
         grid = ThetaGrid.for_dim(1)
         for t in (1.0, 3.0):
+            r1, r2 = epidemic_first_moment_profiles(law, K1, 1.0, K1, 1.0, t, 2, grid)
             for x in (0, 2):
-                r1, r2 = epidemic_first_moments(law, K1, 1.0, K1, 1.0, t, x, grid)
                 p = transition_probability(K1, 1.0, t, 0, x, grid)
-                npt.assert_allclose(r1, p, rtol=1e-12)
-                npt.assert_allclose(r2, 0.45 * t * p, rtol=1e-12)
+                npt.assert_allclose(r1[x + 2], p, rtol=1e-12)
+                npt.assert_allclose(r2[x + 2], 0.45 * t * p, rtol=1e-12)
 
-    def test_profiles_match_pointwise(self):
+    def test_profiles_match_ode_oracle(self):
+        # the box-ODE route shares only the law; it is accurate to its rtol 1e-7
         law = supercritical_law()
         k2 = uniform_range_kernel(1, 2)
         prof1, prof2 = epidemic_first_moment_profiles(law, K1, 1.0, k2, 0.5, 2.0, 12)
+        model = TwoTypeModel(K1, k2, 1.0, 0.5, law.to_branching_law())
+        ode = first_moment_ode_oracle(model, 2.0, 20)
+        assert ode.boundary_mass < 1e-12
         for x in (-3, 0, 5):
-            r1, r2 = epidemic_first_moments(law, K1, 1.0, k2, 0.5, 2.0, x)
-            npt.assert_allclose(prof1[x + 12], r1, atol=1e-12)
-            npt.assert_allclose(prof2[x + 12], r2, atol=1e-12)
+            npt.assert_allclose(prof1[x + 12], ode.value(1, 1, x), rtol=1e-7)
+            npt.assert_allclose(prof2[x + 12], ode.value(1, 2, x), rtol=1e-7)
 
     def test_growth_factor(self):
         # R1 = e^{At} p: total mass over the box is e^{At}
@@ -108,16 +111,19 @@ class TestSecondMoment:
 
     def test_duhamel_matches_ode_route(self):
         law = supercritical_law()
+        model = TwoTypeModel(K1, K1, 1.0, 1.0, law.to_branching_law())
         for t in (1.0, 3.0):
-            m1f, m2f, flux = epidemic_m2_ode(law, K1, 1.0, t, 30)
-            assert flux < 1e-6
+            ode = second_moment_ode_oracle(model, t, 30)
+            assert ode.boundary_mass < 1e-6
             for x in (0, 1, 2, 5):
                 duh = epidemic_m2(law, K1, 1.0, t, 0, x, box_radius=30)
-                npt.assert_allclose(duh.value, m2f[x + 30], rtol=1e-4, atol=1e-8)
+                npt.assert_allclose(duh.value, ode.value(1, 1, x), rtol=1e-4, atol=1e-8)
 
     def test_m2_dominates_m1(self):
         law = supercritical_law()
-        m1f, m2f, _ = epidemic_m2_ode(law, K1, 1.0, 2.0, 25)
+        model = TwoTypeModel(K1, K1, 1.0, 1.0, law.to_branching_law())
+        m1f = first_moment_ode_oracle(model, 2.0, 25).values[0, 0]
+        m2f = second_moment_ode_oracle(model, 2.0, 25).values[0, 0]
         assert (m2f - m1f >= -1e-10).all()
 
 
@@ -172,15 +178,8 @@ class TestCorrelations:
         law = EpidemicLaw(mu1=0.0, mu2=0.0, infection_rates={})
         model = TwoTypeModel(K1, K1, 1.0, 1.0, law.to_branching_law())
         t = 1.0
-
-        def product_moment(sim):
-            mask = sim.alive_mask(t)
-            pos = sim.positions[mask, 0]
-            n0 = int((pos == 0).sum())
-            n1 = int((pos == 1).sum())
-            return n0 * n0, n0 * n1
-
-        res, _ = map_replicas(model, t, [(1, 0)], 20000, 5, product_moment)
+        res, _ = map_replicas(model, t, [(1, 0)], 20000, 5,
+                              partial(_walk_product_moments, t=t))
         arr = np.array(res, dtype=float)
         fld = correlation_ode(law, K1, 1.0, K1, 1.0, t, 12)
         for col, (x, y) in ((0, (0, 0)), (1, (0, 1))):
@@ -193,17 +192,8 @@ class TestCorrelations:
         law = supercritical_law()
         model = TwoTypeModel(K1, K1, 1.0, 1.0, law.to_branching_law())
         t = 1.5
-
-        def moments(sim):
-            mask = sim.alive_mask(t)
-            pos = sim.positions[mask, 0]
-            tp = sim.types[mask]
-            n1_0 = int(((pos == 0) & (tp == 1)).sum())
-            n2_0 = int(((pos == 0) & (tp == 2)).sum())
-            n2_1 = int(((pos == 1) & (tp == 2)).sum())
-            return n1_0 * n2_0, n2_0 * n2_0, n2_0 * n2_1, n1_0, n2_0
-
-        res, _ = map_replicas(model, t, [(1, 0)], 40000, 8, moments)
+        res, _ = map_replicas(model, t, [(1, 0)], 40000, 8,
+                              partial(_conversion_moments, t=t))
         arr = np.array(res, dtype=float)
         fld = correlation_ode(law, K1, 1.0, K1, 1.0, t, 12)
         checks = [
@@ -235,15 +225,6 @@ class TestCorrelations:
         npt.assert_allclose(fld.r1, prof1, atol=1e-7)
         npt.assert_allclose(fld.r2, prof2, atol=1e-7)
 
-    def test_gk_identity(self):
-        # G and K integrated directly equal products of the first moments
-        law = supercritical_law()
-        t, box = 2.0, 10
-        g, k = gk_ode(law, K1, 1.0, K1, 1.0, t, box)
-        fld = correlation_ode(law, K1, 1.0, K1, 1.0, t, box)
-        npt.assert_allclose(g, np.outer(fld.r1, fld.r2), atol=1e-6)
-        npt.assert_allclose(k, np.outer(fld.r1, fld.r1), atol=1e-6)
-
     def test_non_intermittency_at_fixed_site(self):
         law = supercritical_law()
         fields = correlation_ode(law, K1, 1.0, K1, 1.0, [5.0, 10.0, 20.0], 16)
@@ -269,23 +250,44 @@ class TestEngineConsistency:
         model = TwoTypeModel(k1, k2, 1.0, 1.0, law.to_branching_law())
         t = 2.0
         sites = [(0, 0), (1, 0), (2, 1)]
-
-        def counts(sim):
-            mask = sim.alive_mask(t)
-            pos = sim.positions[mask]
-            tp = sim.types[mask]
-            out = []
-            for s in sites:
-                at = (pos == np.array(s)).all(axis=1)
-                out.extend([int((at & (tp == 1)).sum()), int((at & (tp == 2)).sum())])
-            return out
-
-        res, _ = map_replicas(model, t, [(1, (0, 0))], 10000, 31, counts)
+        res, _ = map_replicas(model, t, [(1, (0, 0))], 10000, 31,
+                              partial(_type_counts_at, t=t, sites=sites))
         arr = np.array(res, dtype=float)
-        grid = ThetaGrid.for_dim(2)
+        prof1, prof2 = epidemic_first_moment_profiles(law, k1, 1.0, k2, 1.0, t, 2,
+                                                      ThetaGrid.for_dim(2))
         for si, s in enumerate(sites):
-            r1, r2 = epidemic_first_moments(law, k1, 1.0, k2, 1.0, t, s, grid)
-            for off, theory in ((0, r1), (1, r2)):
+            idx = (s[0] + 2, s[1] + 2)
+            for off, theory in ((0, prof1[idx]), (1, prof2[idx])):
                 col = arr[:, 2 * si + off]
                 se = col.std(ddof=1) / math.sqrt(len(col))
                 assert abs(col.mean() - theory) < 3 * max(se, 1e-4), (s, off)
+
+
+# map_replicas reducers: module-level, so BRW2_THREADS > 1 can pickle them
+
+def _walk_product_moments(sim, t):
+    pos = sim.positions[sim.alive_mask(t), 0]
+    n0 = int((pos == 0).sum())
+    n1 = int((pos == 1).sum())
+    return n0 * n0, n0 * n1
+
+
+def _conversion_moments(sim, t):
+    mask = sim.alive_mask(t)
+    pos = sim.positions[mask, 0]
+    tp = sim.types[mask]
+    n1_0 = int(((pos == 0) & (tp == 1)).sum())
+    n2_0 = int(((pos == 0) & (tp == 2)).sum())
+    n2_1 = int(((pos == 1) & (tp == 2)).sum())
+    return n1_0 * n2_0, n2_0 * n2_0, n2_0 * n2_1, n1_0, n2_0
+
+
+def _type_counts_at(sim, t, sites):
+    mask = sim.alive_mask(t)
+    pos = sim.positions[mask]
+    tp = sim.types[mask]
+    out = []
+    for s in sites:
+        at = (pos == np.array(s)).all(axis=1)
+        out.extend([int((at & (tp == 1)).sum()), int((at & (tp == 2)).sum())])
+    return out

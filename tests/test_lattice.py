@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brw2.lattice import (JumpKernel, KernelError, ThetaGrid, fourier_symbol,
-                          gamma_constant, gaussian_asymptote, sample_jump,
-                          simple_kernel, transition_probability, transition_profile,
+                          gamma_constant, gaussian_asymptote, simple_kernel,
+                          transition_probability, transition_profile,
                           uniform_range_kernel)
 
 
@@ -55,12 +55,6 @@ class TestFourierSymbol:
 
 
 class TestThetaGrid:
-    def test_weights_sum(self):
-        for d in (1, 2):
-            g = ThetaGrid.for_dim(d)
-            npt.assert_allclose(g.node_weight * g.n_points, (2 * np.pi) ** d,
-                                rtol=1e-13)
-
     def test_negation_symmetry(self, grid1):
         pts = np.sort(grid1.points[:, 0])
         npt.assert_allclose(pts, -pts[::-1], atol=1e-13)
@@ -146,28 +140,6 @@ class TestGaussianAsymptote:
     def test_invalid_time(self):
         with pytest.raises(ValueError):
             gaussian_asymptote(simple_kernel(1), 1.0, 0.0, 0)
-
-
-class TestSampleJump:
-    def test_support_restriction(self):
-        k = simple_kernel(1)
-        rng = np.random.default_rng(5)
-        draws = {sample_jump(k, rng) for _ in range(200)}
-        assert draws == {(1,), (-1,)}
-
-    def test_determinism(self):
-        k = uniform_range_kernel(1, 3)
-        a = [sample_jump(k, np.random.default_rng(77)) for _ in range(100)]
-        b = [sample_jump(k, np.random.default_rng(77)) for _ in range(100)]
-        assert a == b
-
-    def test_frequency(self):
-        k = simple_kernel(1)
-        rng = np.random.default_rng(123)
-        n = 1_000_000
-        plus = sum(1 for _ in range(n) if sample_jump(k, rng) == (1,))
-        # binomial 3 sigma band around 1/2
-        assert abs(plus / n - 0.5) < 3 * 0.5 / math.sqrt(n)
 
 
 class TestKernelValidation:

@@ -7,15 +7,13 @@ from scipy.linalg import expm
 
 from brw2 import moments
 from brw2.branching import BranchingLaw, TwoTypeModel
-from brw2.epidemic import (EpidemicLaw, epidemic_first_moment_profiles, epidemic_m2,
-                           epidemic_m2_ode)
+from brw2.epidemic import EpidemicLaw, epidemic_first_moment_profiles, epidemic_m2
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
 from brw2.moments import (BoxTransform, box_sites, first_moment_asymptote,
-                          first_moment_field, first_moment_fourier,
-                          first_moment_ode_oracle, first_moment_symbols,
-                          fundamental_solution, second_moment_field,
-                          second_moment_ode_oracle)
+                          first_moment_field, first_moment_ode_oracle,
+                          first_moment_symbols, fundamental_solution,
+                          second_moment_field, second_moment_ode_oracle)
 
 
 def model_case(name: str) -> TwoTypeModel:
@@ -82,18 +80,18 @@ class TestFundamentalSolution:
 
 class TestFirstMoments:
     def test_identity_at_t0(self):
-        model = model_case("b+c+")
-        npt.assert_allclose(first_moment_fourier(model, 0.0, 0), np.eye(2), atol=1e-12)
-        npt.assert_allclose(first_moment_fourier(model, 0.0, 4), np.zeros((2, 2)),
-                            atol=1e-12)
+        fld = first_moment_field(model_case("b+c+"), 0.0, 4)
+        npt.assert_allclose(fld.matrix_at(0), np.eye(2), atol=1e-12)
+        npt.assert_allclose(fld.matrix_at(4), np.zeros((2, 2)), atol=1e-12)
 
     def test_pure_walk_reduces_to_transition_probability(self):
         law = BranchingLaw(mu1=0.0, mu2=0.0)
         model = TwoTypeModel(simple_kernel(1), uniform_range_kernel(1, 2),
                              1.0, 0.7, law)
         grid = ThetaGrid.for_dim(1)
+        fld = first_moment_field(model, 2.0, 5, grid)
         for x in (0, 2, 5):
-            m = first_moment_fourier(model, 2.0, x, grid)
+            m = fld.matrix_at(x)
             npt.assert_allclose(m[0, 0],
                                 transition_probability(model.kernel1, 1.0, 2.0, 0, x, grid),
                                 atol=1e-12)
@@ -107,8 +105,9 @@ class TestFirstMoments:
         dc = model.derived
         grid = ThetaGrid.for_dim(1)
         t = 1.5
+        fld = first_moment_field(model, t, 3, grid)
         for x in (0, 3):
-            m = first_moment_fourier(model, t, x, grid)
+            m = fld.matrix_at(x)
             p1 = transition_probability(model.kernel1, 1.0, t, 0, x, grid)
             p2 = transition_probability(model.kernel2, 1.0, t, 0, x, grid)
             npt.assert_allclose(m[0, 0], math.exp(dc.r1 * t) * p1, rtol=1e-10)
@@ -256,7 +255,7 @@ class TestAsymptote:
         law = BranchingLaw(mu1=0.5, mu2=0.5, beta1={(2, 0): 0.5}, beta2={(0, 2): 0.5})
         model = TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 1.0, law)
         t = 200.0
-        exact = first_moment_fourier(model, t, 0)[0, 0]
+        exact = first_moment_field(model, t, 0).value(1, 1, 0)
         asym = first_moment_asymptote(model, t)[0, 0]
         assert abs(exact / asym - 1) < 0.05
 
@@ -307,7 +306,7 @@ class TestConversionScope:
     def test_engine_covers_conversion_law(self):
         # conversion is r1 -> r1 - r, b -> b + r: the generic engine handles the
         # epidemic law, and its routes agree with each other and with the
-        # epidemic module
+        # epidemic module, whose M2 view puts kernel1 in place of the type-2 walk
         law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
                           conversion_rate=0.2)
         k1, k2 = simple_kernel(1), uniform_range_kernel(1, 2)
@@ -322,8 +321,9 @@ class TestConversionScope:
         o2 = second_moment_ode_oracle(model, t, box)
         assert f2.converged and not f2.degraded
         npt.assert_allclose(f2.values, o2.values, rtol=1e-4, atol=1e-8)
-        _, m2_ode, _ = epidemic_m2_ode(law, k1, 1.0, t, box)
-        npt.assert_allclose(f2.values[0, 0], m2_ode, rtol=1e-4, atol=1e-8)
+        view = TwoTypeModel(k1, k1, 1.0, 1.0, law.to_branching_law())
+        m2_view = second_moment_ode_oracle(view, t, box).values[0, 0]
+        npt.assert_allclose(f2.values[0, 0], m2_view, rtol=1e-4, atol=1e-8)
 
 
 class TestQuadratureCap:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -175,7 +176,7 @@ class TestStatisticalLaws:
         law = BranchingLaw(mu1=lam, mu2=0.0, beta1={(2, 0): lam})
         model = TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 1.0, law)
         res, _ = map_replicas(model, t, [(1, 0)], 40_000, 99,
-                              lambda s: float(s.alive_mask(t).sum()) ** 2)
+                              partial(_alive_total_squared, t=t))
         arr = np.array(res)
         se = arr.std(ddof=1) / math.sqrt(len(arr))
         assert abs(arr.mean() - (1 + 2 * lam * t)) < 4 * se
@@ -197,7 +198,7 @@ class TestStatisticalLaws:
         mu, t = 1.0, 1.0
         model = death_only_model(mu)
         res, _ = map_replicas(model, t, [(1, 0)], 10_000, 7,
-                              lambda s: int(s.alive_mask(t).sum()))
+                              partial(_alive_total, t=t))
         arr = np.array(res, dtype=float)
         se = arr.std(ddof=1) / math.sqrt(len(arr))
         assert abs(arr.mean() - math.exp(-mu * t)) < 3 * se
@@ -230,11 +231,10 @@ class TestEnsemble:
 
     def test_map_replicas_order_and_rejects_zero(self):
         model = walk_only_model()
-        res, fails = map_replicas(model, 1.0, [(1, 0)], 4, 9,
-                                  lambda s: s.replica_id)
+        res, fails = map_replicas(model, 1.0, [(1, 0)], 4, 9, _replica_id)
         assert res == [0, 1, 2, 3] and fails == []
         with pytest.raises(ValueError):
-            map_replicas(model, 1.0, [(1, 0)], 0, 9, lambda s: None)
+            map_replicas(model, 1.0, [(1, 0)], 0, 9, _replica_id)
 
     def test_worker_count_from_brw2_threads(self, monkeypatch):
         monkeypatch.delenv("BRW2_THREADS", raising=False)
@@ -265,18 +265,28 @@ class TestEnsemble:
                 return map(fn, jobs)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
-        res, _ = map_replicas(walk_only_model(), 1.0, [(1, 0)], 3, 9, _total_at_1,
-                              n_workers=64)
+        res, _ = map_replicas(walk_only_model(), 1.0, [(1, 0)], 3, 9,
+                              partial(_alive_total, t=1.0), n_workers=64)
         assert sizes == [3] and res == [1, 1, 1]
 
     def test_parallel_workers_agree_with_sequential(self):
         model = critical_model()
         seq, _ = map_replicas(model, 2.0, [(1, 0)], 6, 17,
-                              _total_at_1, n_workers=1)
+                              partial(_alive_total, t=1.0), n_workers=1)
         par, _ = map_replicas(model, 2.0, [(1, 0)], 6, 17,
-                              _total_at_1, n_workers=2)
+                              partial(_alive_total, t=1.0), n_workers=2)
         assert seq == par
 
 
-def _total_at_1(sim):
-    return int(sim.alive_mask(1.0).sum())
+# map_replicas reducers: module-level, so BRW2_THREADS > 1 can pickle them
+
+def _alive_total(sim, t):
+    return int(sim.alive_mask(t).sum())
+
+
+def _alive_total_squared(sim, t):
+    return float(sim.alive_mask(t).sum()) ** 2
+
+
+def _replica_id(sim):
+    return sim.replica_id
