@@ -8,6 +8,7 @@ from brw2.branching import (BranchingLaw, LawError, TwoTypeModel, classify_criti
                             derive_constants, theta_coefficients)
 from brw2.lattice import ThetaGrid, simple_kernel, uniform_range_kernel
 from brw2.moments import fundamental_solution
+from brw2.simulate import _CompiledType
 
 
 def critical_two_type_law() -> BranchingLaw:
@@ -81,7 +82,7 @@ class TestClassify:
         assert cls.structure == "reducible"
 
 
-class TestCharacteristicRoots:
+class TestThetaCoefficients:
     """The roots of [[a(theta), b], [c, d(theta)]], seen through U(t) = exp(t D(theta))."""
 
     @staticmethod
@@ -90,20 +91,30 @@ class TestCharacteristicRoots:
         dc = model.derived
         return coef, fundamental_solution(coef.a, coef.d, dc.b, dc.c, t)
 
-    def test_determinant_is_trace_exponential(self):
-        # det U(t) is e^{root t} multiplied over both roots, e^{(a + d) t}
+    def test_vieta_identities(self):
+        # det U(t) is e^{root t} multiplied over both roots, e^{(a + d) t};
+        # the logs of U's eigenvalues are the roots themselves
+        model = critical_model()
         rng = np.random.default_rng(3)
         theta = rng.uniform(-np.pi, np.pi, size=(100, 1))
         t = 2.0
-        coef, u = self.propagator(critical_model(), theta, t)
+        coef, u = self.propagator(model, theta, t)
         det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
         npt.assert_allclose(det, np.exp((coef.a + coef.d) * t), rtol=1e-10)
+        roots = np.log(np.linalg.eigvals(np.moveaxis(u, -1, 0)).real) / t
+        dc = model.derived
+        npt.assert_allclose(roots.sum(axis=1), coef.a + coef.d, atol=1e-12)
+        npt.assert_allclose(roots.prod(axis=1), coef.a * coef.d - dc.b * dc.c, atol=1e-12)
 
-    def test_nonnegative_on_grid(self):
-        _, u = self.propagator(critical_model(), ThetaGrid.for_dim(1).points, 2.0)
+    def test_discriminant_nonnegative_on_grid(self):
+        # real roots, and U(t) a nonnegative matrix at every node
+        model = critical_model()
+        coef, u = self.propagator(model, ThetaGrid.for_dim(1).points, 2.0)
+        dc = model.derived
+        assert ((coef.a - coef.d) ** 2 + 4 * dc.b * dc.c).min() >= 0.0
         assert u.min() >= 0.0
 
-    def test_perron_root_at_zero(self):
+    def test_perron_equals_lam1_at_zero(self):
         # at theta = 0 the top eigenvalue of U(t) is e^{rho t}
         model = critical_model()
         t = 2.0
@@ -111,7 +122,7 @@ class TestCharacteristicRoots:
         top = np.linalg.eigvals(u[..., 0]).real.max()
         npt.assert_allclose(top, math.exp(model.derived.perron_root * t), atol=1e-12)
 
-    def test_decoupled_is_diagonal(self):
+    def test_decoupled_roots(self):
         # b = c = 0: U = diag(e^{a t}, e^{d t})
         law = BranchingLaw(mu1=0.3, mu2=0.7, beta1={(2, 0): 0.1}, beta2={(0, 2): 0.2})
         model = TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 2.0, law)
@@ -134,6 +145,13 @@ class TestLawValidation:
     def test_rejects_negative_mu(self):
         with pytest.raises(LawError):
             BranchingLaw(mu1=-0.1, mu2=0.0)
+
+    def test_total_rate(self):
+        # the event loop's total rate of one particle is kappa plus its
+        # death, branching and conversion intensities
+        model = critical_model()
+        assert _CompiledType(model, 1).rho == pytest.approx(1.0 + 0.5)
+        assert _CompiledType(model, 2).rho == pytest.approx(4.0 + 0.75)
 
     def test_kernel_dim_mismatch_in_model(self):
         with pytest.raises(LawError):

@@ -10,7 +10,8 @@ from brw2.epidemic import (EpidemicLaw, correlation_ode, epidemic_first_moment_p
                            epidemic_m2, intermittency_ratio)
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
-from brw2.moments import first_moment_ode_oracle, second_moment_ode_oracle
+from brw2.moments import (_phase_sum, first_moment_ode_oracle, first_moment_symbols,
+                          second_moment_ode_oracle)
 from brw2.simulate import map_replicas
 
 K1 = simple_kernel(1)
@@ -76,15 +77,21 @@ class TestFirstMoments:
                 npt.assert_allclose(r1[x + 2], p, rtol=1e-12)
                 npt.assert_allclose(r2[x + 2], 0.45 * t * p, rtol=1e-12)
 
-    def test_profiles_match_ode_oracle(self):
-        # the box-ODE route shares only the law; it is accurate to its rtol 1e-7
+    def test_profiles_match_pointwise(self):
+        # the box transform equals the single-site phase sum of the same
+        # symbols; the box-ODE route shares only the law and is accurate to
+        # its rtol 1e-7
         law = supercritical_law()
         k2 = uniform_range_kernel(1, 2)
         prof1, prof2 = epidemic_first_moment_profiles(law, K1, 1.0, k2, 0.5, 2.0, 12)
         model = TwoTypeModel(K1, k2, 1.0, 0.5, law.to_branching_law())
+        grid = ThetaGrid.for_dim(1)
+        sym = first_moment_symbols(model, 2.0, grid.points)
         ode = first_moment_ode_oracle(model, 2.0, 20)
         assert ode.boundary_mass < 1e-12
         for x in (-3, 0, 5):
+            npt.assert_allclose(prof1[x + 12], _phase_sum(sym[0, 0], grid, (x,)), atol=1e-12)
+            npt.assert_allclose(prof2[x + 12], _phase_sum(sym[0, 1], grid, (x,)), atol=1e-12)
             npt.assert_allclose(prof1[x + 12], ode.value(1, 1, x), rtol=1e-7)
             npt.assert_allclose(prof2[x + 12], ode.value(1, 2, x), rtol=1e-7)
 

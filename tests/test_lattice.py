@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.lattice import (JumpKernel, KernelError, ThetaGrid, fourier_symbol,
                           gamma_constant, gaussian_asymptote, simple_kernel,
                           transition_probability, transition_profile,
                           uniform_range_kernel)
+from brw2.simulate import FATE_JUMPED, run
 
 
 def poissonized_walk_oracle(t: float, n_terms: int = 61) -> float:
@@ -55,6 +57,16 @@ class TestFourierSymbol:
 
 
 class TestThetaGrid:
+    def test_weights_sum(self):
+        # the rule weighs each node 1 / n_points, so the grid mean of
+        # cos(theta . v) is exactly the torus average, delta_{v, 0}
+        for d in (1, 2):
+            g = ThetaGrid.for_dim(d)
+            assert g.points.shape == (g.n_points, d)
+            for v in ((0,) * d, (1,) + (0,) * (d - 1), (2,) * d):
+                mean = np.cos(g.points @ np.array(v, dtype=float)).mean()
+                npt.assert_allclose(mean, float(not any(v)), atol=1e-13)
+
     def test_negation_symmetry(self, grid1):
         pts = np.sort(grid1.points[:, 0])
         npt.assert_allclose(pts, -pts[::-1], atol=1e-13)
@@ -140,6 +152,44 @@ class TestGaussianAsymptote:
     def test_invalid_time(self):
         with pytest.raises(ValueError):
             gaussian_asymptote(simple_kernel(1), 1.0, 0.0, 0)
+
+
+def jump_draws(kernel: JumpKernel, seed: int, n: int, per_replica: int = 100_000) -> list:
+    """The first n displacements the event loop draws from ``kernel``: one
+    pure-walk particle per replica, every record ending in a jump."""
+    model = TwoTypeModel(kernel, kernel, 1.0, 1.0, BranchingLaw(mu1=0.0, mu2=0.0))
+    origin = (0,) * kernel.dim
+    horizon = per_replica + 10 * math.sqrt(per_replica) + 50
+    draws: list = []
+    replica = 0
+    while len(draws) < n:
+        sim = run(model, horizon, [(1, origin)], seed, event_cap=2 * per_replica + 100,
+                  replica_id=replica)
+        idx = sim.aux_a[sim.fates == FATE_JUMPED]
+        draws.extend(tuple(int(c) for c in kernel.offsets[i]) for i in idx[:per_replica])
+        replica += 1
+    return draws[:n]
+
+
+class TestSampleJump:
+    def test_support_restriction(self):
+        k = simple_kernel(1)
+        draws = set(jump_draws(k, 5, 200, per_replica=200))
+        assert draws == {(1,), (-1,)}
+
+    def test_determinism(self):
+        k = uniform_range_kernel(1, 3)
+        a = jump_draws(k, 77, 100, per_replica=100)
+        b = jump_draws(k, 77, 100, per_replica=100)
+        assert a == b
+        assert set(a) <= set(k.support)
+
+    def test_frequency(self):
+        k = simple_kernel(1)
+        n = 1_000_000
+        plus = sum(1 for v in jump_draws(k, 123, n) if v == (1,))
+        # binomial 3 sigma band around 1/2
+        assert abs(plus / n - 0.5) < 3 * 0.5 / math.sqrt(n)
 
 
 class TestKernelValidation:
