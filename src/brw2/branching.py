@@ -105,8 +105,6 @@ class DerivedConstants:
     c: float
     r1: float
     r2: float
-    c1: float            # (r1 + r2) / 2
-    c2: float            # sqrt((r1 - r2)^2 + 4 b c) / 2
     factorial_density: np.ndarray = field(repr=False)  # (2, 2, 2): b^{(i)}_{jk}
     matrix_d: np.ndarray = field(repr=False)           # [[r1, b], [c, r2]]
     perron_root: float = 0.0
@@ -122,15 +120,14 @@ def derive_constants(law: BranchingLaw) -> DerivedConstants:
     c = sum(k * r for k, _, r in b2)
     r1 = sum((k - 1) * r for k, _, r in b1) - law.mu1 - law.conversion_rate
     r2 = sum((l - 1) * r for _, l, r in b2) - law.mu2
-    c1 = 0.5 * (r1 + r2)
-    c2 = 0.5 * math.sqrt((r1 - r2) ** 2 + 4 * b * c)
     dens = np.zeros((2, 2, 2))
     for i, entries in ((0, b1), (1, b2)):
         dens[i, 0, 0] = sum(k * (k - 1) * r for k, _, r in entries)
         dens[i, 0, 1] = dens[i, 1, 0] = sum(k * l * r for k, l, r in entries)
         dens[i, 1, 1] = sum(l * (l - 1) * r for _, l, r in entries)
     matrix_d = np.array([[r1, b], [c, r2]])
-    root = c1 + c2
+    # Perron root of D: (r1 + r2)/2 + sqrt((r1 - r2)^2 + 4bc)/2
+    root = 0.5 * (r1 + r2) + 0.5 * math.sqrt((r1 - r2) ** 2 + 4 * b * c)
 
     defective = False
     if b > 0 and c > 0:
@@ -158,7 +155,7 @@ def derive_constants(law: BranchingLaw) -> DerivedConstants:
     else:
         defective = True
     return DerivedConstants(
-        b=b, c=c, r1=r1, r2=r2, c1=c1, c2=c2, factorial_density=dens,
+        b=b, c=c, r1=r1, r2=r2, factorial_density=dens,
         matrix_d=matrix_d, perron_root=root, left_eig=u, right_eig=v,
         defective=defective)
 

@@ -7,9 +7,10 @@ a machine-readable JSON record on stderr.
 
 ``simulate`` and ``clusters`` run their replicas through
 ``simulate.map_replicas`` with module-level reducers: the simulate reducer
-writes its replica's history CSV from the run's columns and returns only the
-snapshot rows, so memory does not grow with ``--replicas``.  BRW2_THREADS
-caps the worker processes; the CSVs are byte-identical for any value.
+writes its replica's history CSV straight from the run's columns and returns
+only the snapshot table, so memory does not grow with ``--replicas``.
+BRW2_THREADS caps the worker processes; the CSVs are byte-identical for any
+value.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .clusters import cell_stats_2d, cluster_stats_1d, occupied_sites_1d, \
     surviving_start_points
 from .config import ConfigError, RunConfig, config_hash, parse_config, preset, \
     PRESET_NAMES
-from .csvio import write_csv, write_manifest
+from .csvio import Table, write_csv, write_manifest
 from .epidemic import M1_FLOOR, correlation_ode, epidemic_first_moment_profiles, \
     epidemic_m2
 from .moments import (box_sites, first_moment_field, first_moment_ode_oracle,
@@ -59,39 +60,54 @@ def _xcols(dim: int) -> list[str]:
     return [f"x{k + 1}" for k in range(dim)]
 
 
-def _history_rows(sim: SimulationRun) -> list[list]:
-    """One row per record: replica, record_id, parent_id, type, x1..xd, t1,
-    t2, fate, read column-wise from the run."""
-    rid = sim.replica_id
-    jumped = {p: ["jumped(" + ",".join(str(c) for c in v) + ")"
-                  for v in sim.model.kernel(p).offsets.tolist()] for p in (1, 2)}
-    # positions as d coordinate columns: a list per record would cost ~70
-    # bytes each while the rows are held
-    positions = zip(*sim.positions.T.tolist())
-    rows = []
-    for idx, (parent, ptype, pos, t1, t2, fate, a, b) in enumerate(zip(
-            sim.parents.tolist(), sim.types.tolist(), positions, sim.t1.tolist(),
-            sim.t2.tolist(), sim.fates.tolist(), sim.aux_a.tolist(),
-            sim.aux_b.tolist())):
-        if fate == FATE_JUMPED:
-            label = jumped[ptype][a]
-        elif fate == FATE_BRANCHED:
-            label = f"branched({a},{b})"
-        else:
-            label = FATE_NAMES[fate]
-        rows.append([rid, idx, parent, ptype, *pos, t1, t2, label])
-    return rows
+def _snapshot_header(dim: int) -> list[str]:
+    return ["replica", "t", "type", *_xcols(dim), "count"]
 
 
-def _simulate_replica(sim: SimulationRun, out: Path, t_list) -> list[list]:
-    """Write the replica's history CSV and return its snapshot rows, so no
+def _table(n: int, *columns) -> Table:
+    """Table of n rows; a scalar column holds the same value on every row."""
+    return Table([np.broadcast_to(c, (n,)) for c in columns])
+
+
+def _fate_labels(sim: SimulationRun) -> np.ndarray:
+    """Each record's fate text, read from one label table by one index:
+    died, converted and censored by fate code, branched(k,l) by offspring
+    pair, jumped(v) by the record type's kernel offset."""
+    law = sim.model.law
+    pairs = [(k, l) for k, l, _ in (*law.beta1, *law.beta2)]
+    n_l = 1 + max((l for _, l in pairs), default=0)
+    n_k = 1 + max((k for k, _ in pairs), default=0)
+    jumps = [["jumped(" + ",".join(map(str, v)) + ")"
+              for v in sim.model.kernel(p).offsets.tolist()] for p in (1, 2)]
+    labels = np.array([*FATE_NAMES,
+                       *(f"branched({k},{l})" for k in range(n_k) for l in range(n_l)),
+                       *jumps[0], *jumps[1]], dtype=object)
+    branch_base = len(FATE_NAMES)
+    jump_base = branch_base + n_k * n_l + np.array([0, 0, len(jumps[0])])
+    idx = np.select([sim.fates == FATE_BRANCHED, sim.fates == FATE_JUMPED],
+                    [branch_base + sim.aux_a * n_l + sim.aux_b,
+                     jump_base[sim.types] + sim.aux_a],
+                    default=sim.fates)
+    return labels[idx]
+
+
+def _simulate_replica(sim: SimulationRun, out: Path, t_list) -> Table:
+    """Write the replica's history CSV and return its snapshot table, so no
     history outlives its own replica."""
-    rid = sim.replica_id
-    hdr = ["replica", "record_id", "parent_id", "type", *_xcols(sim.model.dim),
+    rid, n, dim = sim.replica_id, sim.n_records, sim.model.dim
+    hdr = ["replica", "record_id", "parent_id", "type", *_xcols(dim),
            "t1", "t2", "fate"]
-    write_csv(out / f"history_{rid:04d}.csv", hdr, _history_rows(sim))
-    return [[rid, t, ptype, *pos, cnt]
-            for t in t_list for (ptype, pos), cnt in snapshot(sim, t).items()]
+    write_csv(out / f"history_{rid:04d}.csv", hdr,
+              _table(n, rid, np.arange(n), sim.parents, sim.types,
+                     *sim.positions.T, sim.t1, sim.t2, _fate_labels(sim)))
+    parts = []
+    for t in t_list:
+        snap = snapshot(sim, t)
+        keys = np.array([(ptype, *pos) for ptype, pos in snap],
+                        dtype=np.int64).reshape(len(snap), 1 + dim)
+        parts.append(_table(len(snap), rid, t, *keys.T,
+                            np.fromiter(snap.values(), np.int64, len(snap))))
+    return Table.concat(parts, len(_snapshot_header(dim)))
 
 
 def command_simulate(cfg: RunConfig) -> int:
@@ -102,9 +118,9 @@ def command_simulate(cfg: RunConfig) -> int:
         model, exp.horizon, cfg.initial_or_default(), exp.replicas, exp.seed,
         partial(_simulate_replica, out=out, t_list=exp.t_list),
         event_cap=exp.event_cap)
-    write_csv(out / "snapshot.csv",
-              ["replica", "t", "type", *_xcols(cfg.dim), "count"],
-              [row for rows in snaps if rows is not None for row in rows])
+    hdr = _snapshot_header(cfg.dim)
+    write_csv(out / "snapshot.csv", hdr,
+              Table.concat([s for s in snaps if s is not None], len(hdr)))
     write_manifest(out, "simulate", config_hash(cfg), exp.seed, failures,
                    extra={"replicas": exp.replicas})
     if failures:
@@ -121,11 +137,10 @@ def command_moments(cfg: RunConfig) -> int:
     times = sorted(set(exp.t_list))
     ode1 = first_moment_ode_oracle(model, times, exp.box_radius)
     ode2 = second_moment_ode_oracle(model, times, exp.box_radius)
-    rows = []
+    parts = []
     for t, o1, o2 in zip(times, ode1, ode2):
         f1 = first_moment_field(model, t, exp.box_radius, grid)
         f2 = second_moment_field(model, t, exp.box_radius, grid)
-        sites = f1.sites
         flat1f = f1.values.reshape(2, 2, -1)
         flat2f = f2.values.reshape(2, 2, -1)
         flat1o = o1.values.reshape(2, 2, -1)
@@ -133,68 +148,72 @@ def command_moments(cfg: RunConfig) -> int:
         par1 = np.abs(flat1f - flat1o).max(axis=(0, 1))
         par2 = (np.abs(flat2f - flat2o) / (1e-8 + np.abs(flat2o))).max(axis=(0, 1))
         bmass = max(o1.boundary_mass, o2.boundary_mass, f2.boundary_mass)
-        for s, site in enumerate(sites):
-            rows.append([t, *site,
-                         flat1f[0, 0, s], flat1f[0, 1, s], flat1f[1, 0, s], flat1f[1, 1, s],
-                         flat2f[0, 0, s], flat2f[0, 1, s], flat2f[1, 0, s], flat2f[1, 1, s],
-                         bmass, par1[s], par2[s]])
+        parts.append(_table(len(par1), t, *f1.sites.T,
+                            flat1f[0, 0], flat1f[0, 1], flat1f[1, 0], flat1f[1, 1],
+                            flat2f[0, 0], flat2f[0, 1], flat2f[1, 0], flat2f[1, 1],
+                            bmass, par1, par2))
     hdr = ["t", *_xcols(cfg.dim),
            "m11_1", "m12_1", "m21_1", "m22_1",
            "m11_2", "m12_2", "m21_2", "m22_2",
            "boundary_mass", "parity_1", "parity_2"]
-    write_csv(out / "moments.csv", hdr, rows)
+    write_csv(out / "moments.csv", hdr, Table.concat(parts, len(hdr)))
     write_manifest(out, "moments", config_hash(cfg), exp.seed)
     return 0
 
 
-def _cluster_rows_1d(sim: SimulationRun, t_list, window) -> list[list]:
-    rid = sim.replica_id
-    rows = []
+_CLUSTER_HEADER = ["replica", "t", "kind", "length"]
+
+
+def _cluster_table_1d(sim: SimulationRun, t_list, window) -> Table:
+    parts = []
     for t in t_list:
         rep = cluster_stats_1d(occupied_sites_1d(sim, t), t=t, window=window)
-        rows.extend([rid, t, "cluster", ln] for ln in rep.cluster_lengths)
-        rows.extend([rid, t, "gap", ln] for ln in rep.gap_lengths)
-        rows.append([rid, t, "boundary", rep.boundary_length])
-    return rows
+        kinds = (["cluster"] * len(rep.cluster_lengths)
+                 + ["gap"] * len(rep.gap_lengths) + ["boundary"])
+        lengths = [*rep.cluster_lengths, *rep.gap_lengths, rep.boundary_length]
+        parts.append(_table(len(kinds), sim.replica_id, t, kinds, lengths))
+    return Table.concat(parts, len(_CLUSTER_HEADER))
 
 
 def command_clusters(cfg: RunConfig) -> int:
     model = cfg.build_model()
     exp = cfg.experiment
     out = Path(exp.out_dir)
+    if cfg.dim == 2 and min(exp.t_list) <= 1:
+        # refuse before any replica runs: cell statistics need nu = log t > 0
+        raise ConfigError("experiment.t_list",
+                          "d=2 cell statistics take nu = log t, so every time "
+                          f"must exceed 1; got t = {min(exp.t_list):g}")
     initial = cfg.initial_or_default()
     xs = [x for _, x in initial]
     # fixed window: the span of the initial sites, so lengths compare across t
     window = tuple((min(c[k] for c in xs), max(c[k] for c in xs))
                    for k in range(cfg.dim))
     if cfg.dim == 1:
-        reducer = partial(_cluster_rows_1d, t_list=exp.t_list, window=window[0])
+        reducer = partial(_cluster_table_1d, t_list=exp.t_list, window=window[0])
     else:
         reducer = partial(surviving_start_points, t_list=exp.t_list)
     results, failures = map_replicas(model, exp.horizon, initial, exp.replicas,
                                      exp.seed, reducer, event_cap=exp.event_cap)
     done = [(rid, res) for rid, res in enumerate(results) if res is not None]
     if cfg.dim == 1:
-        write_csv(out / "clusters.csv", ["replica", "t", "kind", "length"],
-                  [row for _, rows in done for row in rows])
+        write_csv(out / "clusters.csv", _CLUSTER_HEADER,
+                  Table.concat([table for _, table in done], len(_CLUSTER_HEADER)))
     elif cfg.dim == 2:
         # c_hat from the same runs: mean surviving fraction * t at the horizon
         t_max = max(exp.t_list)
         survivors = sum(len(starts[t_max]) for _, starts in done)
         p_hat = survivors / (len(done) * len(set(xs))) if done else 0.0
         c_hat = max(p_hat * t_max, 1e-9)
-        cell_rows = []
+        parts = []
         for rid, starts in done:
             for t in exp.t_list:
-                if t <= 0:
-                    continue
-                rep = cell_stats_2d(starts[t], t, nu_value=max(math.log(t), 1e-6),
+                rep = cell_stats_2d(starts[t], t, nu_value=math.log(t),
                                     c_hat=c_hat, window=window)
-                cell_rows.append([rid, t, rep.cell_side, rep.n_cells,
-                                  rep.degenerate_fraction])
-        write_csv(out / "cells.csv",
-                  ["replica", "t", "cell_side", "n_cells", "degenerate_fraction"],
-                  cell_rows)
+                parts.append(_table(1, rid, t, rep.cell_side, rep.n_cells,
+                                    rep.degenerate_fraction))
+        hdr = ["replica", "t", "cell_side", "n_cells", "degenerate_fraction"]
+        write_csv(out / "cells.csv", hdr, Table.concat(parts, len(hdr)))
     write_manifest(out, "clusters", config_hash(cfg), exp.seed, failures)
     return 0 if done else 1
 
@@ -205,7 +224,8 @@ def command_epidemic(cfg: RunConfig) -> int:
     out = Path(exp.out_dir)
     grid = cfg.build_grid()
     k1, k2 = cfg.build_kernel(1), cfg.build_kernel(2)
-    rows = []
+    sites = box_sites(exp.box_radius, cfg.dim)
+    parts = []
     for t in sorted(set(exp.t_list)):
         r1, r2 = epidemic_first_moment_profiles(law, k1, cfg.kappa1, k2, cfg.kappa2,
                                                 t, exp.box_radius, grid)
@@ -213,24 +233,18 @@ def command_epidemic(cfg: RunConfig) -> int:
                          grid, exp.box_radius)
         m1_diag = float(r1[(exp.box_radius,) * cfg.dim])
         ratio = m2.value / m1_diag ** 2 if m1_diag > M1_FLOOR else float("nan")
-        flat1, flat2 = r1.reshape(-1), r2.reshape(-1)
-        for s, site in enumerate(box_sites(exp.box_radius, cfg.dim)):
-            rows.append([t, *site, flat1[s], flat2[s], m2.value, ratio])
-    write_csv(out / "epidemic.csv",
-              ["t", *_xcols(cfg.dim), "R1", "R2", "M2_diag", "ratio"], rows)
+        parts.append(_table(len(sites), t, *sites.T, r1.reshape(-1), r2.reshape(-1),
+                            m2.value, ratio))
+    hdr = ["t", *_xcols(cfg.dim), "R1", "R2", "M2_diag", "ratio"]
+    write_csv(out / "epidemic.csv", hdr, Table.concat(parts, len(hdr)))
 
-    corr_rows = []
+    corr_sites = box_sites(exp.corr_box_radius, cfg.dim)
     fields = correlation_ode(law, k1, cfg.kappa1, k2, cfg.kappa2,
                              sorted(set(exp.t_list)), exp.corr_box_radius)
-    for fld in fields:
-        r11 = fld.u_slice("r11")
-        r12 = fld.u_slice("r12")
-        r22 = fld.u_slice("r22")
-        for s, site in enumerate(box_sites(exp.corr_box_radius, cfg.dim)):
-            corr_rows.append([fld.t, *site, r11[s], r12[s], r22[s]])
-    write_csv(out / "corr.csv",
-              ["t", *[f"u{k + 1}" for k in range(cfg.dim)], "R11", "R12", "R22"],
-              corr_rows)
+    parts = [_table(len(corr_sites), fld.t, *corr_sites.T, fld.u_slice("r11"),
+                    fld.u_slice("r12"), fld.u_slice("r22")) for fld in fields]
+    hdr = ["t", *[f"u{k + 1}" for k in range(cfg.dim)], "R11", "R12", "R22"]
+    write_csv(out / "corr.csv", hdr, Table.concat(parts, len(hdr)))
     write_manifest(out, "epidemic", config_hash(cfg), exp.seed)
     return 0
 

@@ -116,21 +116,22 @@ class RunConfig:
             return self.experiment.initial
         return ((1, (0,) * self.dim),)
 
-    def with_overrides(self, **kw) -> "RunConfig":
-        """Flag overrides; the keys are replicas, seed, out_dir, t_list (which
-        also sets the horizon to its maximum), box_radius and grid_nodes.  A
-        key given as None keeps the config's value."""
-        exp = self.experiment
-        exp_updates = {}
-        for key in ("replicas", "seed", "out_dir", "box_radius", "grid_nodes"):
-            if kw.get(key) is not None:
-                exp_updates[key] = kw[key]
-        if kw.get("t_list") is not None:
-            ts = tuple(float(t) for t in kw["t_list"])
+    def with_overrides(self, *, replicas: int | None = None,
+                       seed: int | None = None, out_dir: str | None = None,
+                       t_list=None, box_radius: int | None = None,
+                       grid_nodes: int | None = None) -> "RunConfig":
+        """Flag overrides; t_list also sets the horizon to its maximum.  A key
+        given as None keeps the config's value, and an unknown key raises
+        ``TypeError``."""
+        exp_updates = {key: value for key, value in (
+            ("replicas", replicas), ("seed", seed), ("out_dir", out_dir),
+            ("box_radius", box_radius), ("grid_nodes", grid_nodes))
+            if value is not None}
+        if t_list is not None:
+            ts = tuple(float(t) for t in t_list)
             exp_updates["t_list"] = ts
             exp_updates["horizon"] = max(ts)
-        if exp_updates:
-            exp = replace(exp, **exp_updates)
+        exp = replace(self.experiment, **exp_updates)
         return replace(self, experiment=exp)
 
 

@@ -192,15 +192,12 @@ class TestCells:
         initial = [(1, (x, y)) for x in range(24) for y in range(24)]
         hits = 0
         n_rep = 12
-        p_sum = 0.0
-        for rid in range(n_rep):
-            sim = run(model, t, initial, seed=4242, replica_id=rid)
-            starts = surviving_start_points(sim, [t])[t]
-            p_sum += len(starts) / len(initial)
+        start_sets = [surviving_start_points(run(model, t, initial, seed=4242,
+                                                 replica_id=rid), [t])[t]
+                      for rid in range(n_rep)]
+        p_sum = sum(len(starts) / len(initial) for starts in start_sets)
         c_hat = max(p_sum / n_rep * t, 1e-9)
-        for rid in range(n_rep):
-            sim = run(model, t, initial, seed=4242, replica_id=rid)
-            starts = surviving_start_points(sim, [t])[t]
+        for starts in start_sets:
             rep = cell_stats_2d(starts, t, nu_value=math.log(t), c_hat=c_hat,
                                 window=((0, 23), (0, 23)))
             if rep.degenerate_fraction > 0:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from brw2 import simulate
 from brw2.cli import main
 from brw2.config import (ConfigError, config_hash, parse_config, preset,
                          serialize_config)
@@ -101,6 +102,14 @@ model:
         cfg = parse_config(CRITICAL_1D)
         with pytest.raises(ConfigError, match="beta2"):
             cfg.build_epidemic_law()
+
+    def test_with_overrides_rejects_unknown_keys(self):
+        cfg = preset("fig-z1")
+        for bad in ({"replica": 9}, {"event_cap": 5}):
+            with pytest.raises(TypeError):
+                cfg.with_overrides(**bad)
+        assert cfg.with_overrides(replicas=None) == cfg
+        assert cfg.with_overrides(replicas=9).experiment.replicas == 9
 
     def test_model_builds(self):
         model = parse_config(CRITICAL_1D).build_model()
@@ -210,6 +219,22 @@ experiment:
         for key in boundary:
             assert sum(int(row[3]) for row in rows
                        if (row[0], float(row[1])) == key) == 300
+
+    def test_clusters_d2_refuses_times_up_to_1_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        # fig-z2 has t = 0.5 and 1.0, where nu = log t <= 0
+        monkeypatch.setenv("BRW2_THREADS", "1")
+        calls = []
+        real_run = simulate.run
+        monkeypatch.setattr(simulate, "run",
+                            lambda *a, **k: calls.append(1) or real_run(*a, **k))
+        out = tmp_path / "clu"
+        rc = self._run(["clusters", "--preset", "fig-z2", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and err["path"] == "experiment.t_list"
+        assert not (out / "cells.csv").exists()
+        assert calls == []
 
     def test_config_error_exit_code_and_json(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
