@@ -234,16 +234,18 @@ def command_epidemic(cfg: RunConfig) -> int:
         m1_diag = float(r1[(exp.box_radius,) * cfg.dim])
         ratio = m2.value / m1_diag ** 2 if m1_diag > M1_FLOOR else float("nan")
         parts.append(_table(len(sites), t, *sites.T, r1.reshape(-1), r2.reshape(-1),
-                            m2.value, ratio))
-    hdr = ["t", *_xcols(cfg.dim), "R1", "R2", "M2_diag", "ratio"]
+                            m2.value, ratio, m2.boundary_mass, m2.degraded))
+    hdr = ["t", *_xcols(cfg.dim), "R1", "R2", "M2_diag", "ratio",
+           "boundary_mass", "degraded"]
     write_csv(out / "epidemic.csv", hdr, Table.concat(parts, len(hdr)))
 
     corr_sites = box_sites(exp.corr_box_radius, cfg.dim)
     fields = correlation_ode(law, k1, cfg.kappa1, k2, cfg.kappa2,
-                             sorted(set(exp.t_list)), exp.corr_box_radius)
-    parts = [_table(len(corr_sites), fld.t, *corr_sites.T, fld.u_slice("r11"),
-                    fld.u_slice("r12"), fld.u_slice("r22")) for fld in fields]
-    hdr = ["t", *[f"u{k + 1}" for k in range(cfg.dim)], "R11", "R12", "R22"]
+                             sorted(set(exp.t_list)), exp.corr_box_radius, grid=grid)
+    parts = [_table(len(corr_sites), fld.t, *corr_sites.T, fld.r11, fld.r12, fld.r22,
+                    fld.boundary_mass, fld.degraded) for fld in fields]
+    hdr = ["t", *[f"u{k + 1}" for k in range(cfg.dim)], "R11", "R12", "R22",
+           "boundary_mass", "degraded"]
     write_csv(out / "corr.csv", hdr, Table.concat(parts, len(hdr)))
     write_manifest(out, "epidemic", config_hash(cfg), exp.seed)
     return 0

@@ -11,6 +11,8 @@ and the violated rule, so a config that parses is a config that runs.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -152,6 +154,8 @@ def _expect_list(node, path) -> list:
 def _num(node, path) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise ConfigError(path, f"expected a number, got {node!r}")
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(path, f"expected a finite number, got {node!r}")
     return float(node)
 
 def _int(node, path) -> int:
@@ -231,6 +235,11 @@ def parse_config(text: str) -> RunConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown"
         raise ConfigError("<syntax>", f"YAML error at {where}: {exc}") from exc
+    return _parse_doc(doc)
+
+
+def _parse_doc(doc) -> RunConfig:
+    """Validate a config document, the plain mapping that YAML loads to."""
     doc = _expect_map(doc if doc is not None else {}, "<root>")
     _reject_unknown(doc, ("model", "experiment"), "<root>")
     model = _expect_map(doc.get("model", {}), "model")
@@ -329,7 +338,11 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+    """sha256 of the canonical JSON of the config; every number is finite
+    (``_num`` rejects the rest), so ``allow_nan=False`` never fires."""
+    text = json.dumps(_config_doc(cfg), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +412,7 @@ def _fig_z2() -> RunConfig:
             "initial": [[1, [0, 0]]] * 200,
         },
     }
-    return parse_config(yaml.safe_dump(doc))
+    return _parse_doc(doc)
 
 
 _PRESETS = {"fig-z1": _fig_z1, "fig-z2": _fig_z2}

@@ -14,12 +14,14 @@ moments R1 = m_11 and R2 = m_12 and the second moment of the infected count
     M2(t,x,y) = M1(t,x,y) + beta2 int_0^t sum_w M1(t-s,x,w) M1^2(s,w,y) ds
 
 are therefore views of ``brw2.moments``, and ``moments.second_moment_ode_oracle``
-on the same law is their independent box-ODE check.  The pair correlation
-functions R11, R12, R22 close into a linear ODE system driven by the first
-moments.  The pair system is integrated over full (x, y) boxes: the
-single-particle initial condition delta_0(x) delta_0(y) is not translation
-invariant, so no difference reduction is applied to the stored fields;
-origin-anchored u = y - x slices are exposed for output.
+on the same law is their independent box-ODE check.  The pair correlations
+R11, R12, R22 at (0, u) follow from the many-to-two formula: one time
+integral over products of first-moment fields, evaluated by FFT on the
+theta grid's torus (``correlation_ode``).  Their independent check is the
+linear ODE system they close into, integrated over full (x, y) boxes
+(``correlation_box_ode``): the single-particle initial condition
+delta_0(x) delta_0(y) is not translation invariant, so no difference
+reduction is applied to its stored fields.
 
 Everything here is pure evaluation; box integrations own their state and
 distinct times can be computed concurrently.
@@ -29,25 +31,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .branching import BranchingLaw, TwoTypeModel
+from .branching import BranchingLaw, TwoTypeModel, theta_coefficients
 from .lattice import JumpKernel, ThetaGrid
-from .moments import (BOUNDARY_TOL, BoxTransform, _as_times, _first_moment_box,
-                      _phase_sum, _second_moment_symbols, _solve_chained, box_sites,
-                      build_box_generator, first_moment_symbols)
+from .moments import (BOUNDARY_TOL, BoxTransform, _as_times, _doubling_quadrature,
+                      _first_moment_box, _moment_symbols, _phase_sum,
+                      _second_moment_symbols, _solve_chained, box_sites,
+                      build_box_generator, first_moment_symbols, torus_field,
+                      torus_symbols)
 
 __all__ = [
     "EpidemicLaw",
     "CorrelationField",
+    "PairSlices",
     "M2Value",
     "RatioPoint",
     "epidemic_first_moment_profiles",
     "epidemic_m2",
     "intermittency_ratio",
     "correlation_ode",
+    "correlation_box_ode",
 ]
 
 M1_FLOOR = 1e-280
@@ -189,6 +196,118 @@ def intermittency_ratio(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
 # correlation functions R11, R12, R22
 # ---------------------------------------------------------------------------
 
+def _flat_index(x, box_radius: int) -> int:
+    """Row-major index of site x among ``box_sites(box_radius, d)``."""
+    xv = _vec(x)
+    if any(abs(int(c)) > box_radius for c in xv):
+        raise ValueError(f"site {x} outside box of radius {box_radius}")
+    side = 2 * box_radius + 1
+    flat = 0
+    for c in xv:
+        flat = flat * side + (int(c) + box_radius)
+    return flat
+
+
+@dataclass(frozen=True)
+class PairSlices:
+    """Origin slices R(t, 0, u) over |u| <= box_radius, from one infected at 0.
+
+    ``r11``, ``r12`` and ``r22`` hold E[N1(0) N1(u)], E[N1(0) N2(u)] and
+    E[N2(0) N2(u)], and ``r1``, ``r2`` the first moments R1(t, u), R2(t, u),
+    each flattened over ``box_sites(box_radius, dim)``.  ``boundary_mass``
+    is the worst torus-shell mass of the first-moment fields inside the
+    time integral; ``degraded`` is set when it exceeds the tolerance or the
+    quadrature stopped at its node cap (``converged`` False).
+    """
+
+    t: float
+    box_radius: int
+    dim: int
+    r1: np.ndarray = field(repr=False)
+    r2: np.ndarray = field(repr=False)
+    r11: np.ndarray = field(repr=False)
+    r12: np.ndarray = field(repr=False)
+    r22: np.ndarray = field(repr=False)
+    boundary_mass: float = 0.0
+    degraded: bool = False
+    converged: bool = True
+
+    def value(self, name: str, u) -> float:
+        return float(getattr(self, name)[_flat_index(u, self.box_radius)])
+
+
+def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
+                    kernel2: JumpKernel, kappa2: float, t, box_radius: int,
+                    boundary_tol: float = BOUNDARY_TOL, grid: ThetaGrid | None = None):
+    """Pair correlations R_ij(t, 0, u) by the many-to-two formula on the torus.
+
+    Only infected particles branch, beta2 ordered pairs per unit rate, so
+    with g_s = R1(s) R1(t - s) and h_s = R1(s) R2(t - s) pointwise,
+
+        F11^(t, theta) = beta2 int_0^t g_s^(theta) R1^(t - s, theta) ds,
+        F12^(t, theta) = beta2 int_0^t g_s^(theta) R2^(t - s, theta) ds,
+        F22^(t, theta) = beta2 int_0^t h_s^(theta) R2^(t - s, theta) ds,
+
+    and R11 = F11 + delta_{u0} R1(t, 0), R12 = F12, R22 = F22 + delta_{u0}
+    R2(t, 0) (Harris & Roberts, "The many-to-few lemma and multiple
+    spines", Ann. IHP 2017).  R1^ and R2^ are the generic engine's
+    first-moment symbols; fields and products live on the theta grid's
+    torus window (``moments.torus_field``), and the time integral is the
+    engine's Gauss-Legendre doubling loop.  ``box_radius`` is only the
+    output window and needs 2 box_radius < M.  ``boundary_mass`` is the
+    largest mass of R1(s), R1(t - s) and R2(t - s) on the torus shell (some
+    |x_k| >= 3M/8) over the nodes; aliasing is bounded by it.
+
+    The name is kept from the box ODE this route replaced, now
+    ``correlation_box_ode``, because the benchmark wraps this function by
+    name; the signature is the ODE's plus ``grid``.  ``t`` may be a scalar
+    or an increasing sequence; one ``PairSlices`` per time is returned.
+    """
+    times, scalar = _as_times(t)
+    model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
+    grid = grid or ThetaGrid.for_dim(model.dim)
+    m, dim = grid.nodes_per_axis, model.dim
+    if 2 * box_radius >= m:
+        raise ValueError(f"output window of radius {box_radius} needs more than "
+                         f"{2 * box_radius} grid nodes per axis, got {m}")
+    dc = model.derived
+    coef = theta_coefficients(model, grid.points)
+    shell = (np.abs(np.indices((m,) * dim) - m // 2) >= 3 * m / 8).any(axis=0)
+    window = (Ellipsis,) + (slice(m // 2 - box_radius, m // 2 + box_radius + 1),) * dim
+
+    def node_sum(tv, s, w):
+        sym_s = _moment_symbols(coef, dc, s[:, None])[0, 0]              # R1^(s)
+        sym_r = _moment_symbols(coef, dc, (tv - s)[:, None])[0]          # R^(t - s)
+        f_s = torus_field(sym_s, grid)
+        f_r = torus_field(sym_r, grid)
+        gh = torus_symbols(f_s * f_r, grid).real                          # g^, h^
+        part = np.stack([gh[0] * sym_r[0], gh[0] * sym_r[1], gh[1] * sym_r[1]])
+        mass = max(np.abs(f_s[..., shell]).sum(axis=-1).max(),
+                   np.abs(f_r[..., shell]).sum(axis=-1).max())
+        return law.beta2 * np.tensordot(part, w, axes=([1], [0])), float(mass)
+
+    out = []
+    for tv in times:
+        pair, mass, converged = _doubling_quadrature(
+            tv, np.zeros((3, grid.n_points)), partial(node_sum, tv),
+            lambda sym: torus_field(sym, grid)[window])
+        r1, r2 = torus_field(_moment_symbols(coef, dc, tv)[0], grid)[window]
+        r11, r12, r22 = torus_field(pair, grid)[window]
+        origin = (box_radius,) * dim
+        r11[origin] += r1[origin]
+        r22[origin] += r2[origin]
+        out.append(PairSlices(
+            t=tv, box_radius=box_radius, dim=dim,
+            r1=r1.ravel(), r2=r2.ravel(), r11=r11.ravel(), r12=r12.ravel(),
+            r22=r22.ravel(), boundary_mass=mass, converged=converged,
+            degraded=mass > boundary_tol or not converged))
+    return out[0] if scalar else out
+
+
+# ---------------------------------------------------------------------------
+# box-ODE oracle for the pair correlations
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class CorrelationField:
     """Pair correlation fields over box x box, started from one infected at 0.
@@ -211,14 +330,7 @@ class CorrelationField:
     degraded: bool = False
 
     def _idx(self, x) -> int:
-        xv = _vec(x)
-        if any(abs(int(c)) > self.box_radius for c in xv):
-            raise ValueError(f"site {x} outside box of radius {self.box_radius}")
-        side = 2 * self.box_radius + 1
-        flat = 0
-        for c in xv:
-            flat = flat * side + (int(c) + self.box_radius)
-        return flat
+        return _flat_index(x, self.box_radius)
 
     def pair(self, name: str, x, y) -> float:
         return float(getattr(self, name)[self._idx(x), self._idx(y)])
@@ -243,10 +355,14 @@ def _full_jump_matrix(kernel: JumpKernel, box_radius: int) -> np.ndarray:
     return out
 
 
-def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
-                    kernel2: JumpKernel, kappa2: float, t, box_radius: int,
-                    boundary_tol: float = BOUNDARY_TOL):
-    """Co-integrate {R1, R2, R11, R12, R22} on the truncated box.
+def correlation_box_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
+                        kernel2: JumpKernel, kappa2: float, t, box_radius: int,
+                        boundary_tol: float = BOUNDARY_TOL):
+    """Oracle: co-integrate {R1, R2, R11, R12, R22} on the truncated box.
+
+    A small-box check of ``correlation_ode``, over full (x, y) pairs; the
+    rate-weighted flux killed at the box edge is the fields'
+    ``boundary_mass``.
 
     The diagonal sources follow the forward-equation derivation validated
     against Monte Carlo: with q = beta2 - beta + mu1 + r,

@@ -12,7 +12,10 @@ where the source f is a theta-convolution of first-moment symbols, computed
 here as the transform of the pointwise product of box fields (the two are
 equal up to the shared truncation error, at O(S) cost per time node).  The
 integrand is smooth in s, so the time integral uses Gauss-Legendre nodes,
-doubling their number until two successive fields agree.
+doubling their number until two successive fields agree
+(``_doubling_quadrature``, shared with the epidemic pair route).
+``torus_field`` and ``torus_symbols`` transform between the grid symbols and
+fields on the whole torus window [-M/2, M/2)^d by FFT, with no box.
 
 Type conversion (the infected/immune epidemic) is part of the branching
 law's derived constants, so the epidemic module reads its moments off this
@@ -34,8 +37,10 @@ from __future__ import annotations
 import gc
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+import scipy.fft
 import scipy.sparse
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
@@ -47,6 +52,8 @@ from .lattice import JumpKernel, ThetaGrid, gamma_constant
 __all__ = [
     "MomentField",
     "BoxTransform",
+    "torus_field",
+    "torus_symbols",
     "box_sites",
     "build_box_generator",
     "fundamental_solution",
@@ -64,6 +71,7 @@ BOUNDARY_TOL = 1e-6
 QUAD_TOL = 1e-8
 QUAD_START_NODES = 16
 QUAD_MAX_NODES = 512
+QUAD_BLOCK = 48          # time nodes evaluated at once, bounding memory
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +138,57 @@ class BoxTransform:
         return self._apply(arr, self._inv.T).real
 
 
+def _window_twiddle(grid: ThetaGrid, sign: int) -> np.ndarray:
+    """e^{sign i (pi - pi/M) x} over the window [-M/2, M/2)^d in FFT order
+    (x mod M), shape (M,)*d."""
+    m = grid.nodes_per_axis
+    x = np.arange(-m // 2, m // 2)
+    axis = scipy.fft.ifftshift(np.exp(sign * 1j * (np.pi - np.pi / m) * x))
+    out = axis
+    for _ in range(grid.dim - 1):
+        out = np.multiply.outer(out, axis)
+    return out
+
+
+def torus_field(symbols: np.ndarray, grid: ThetaGrid) -> np.ndarray:
+    """Inverse transform onto the torus window [-M/2, M/2)^d by FFT (real part).
+
+    The midpoint nodes theta_k = -pi + (k + 1/2) 2 pi / M give
+    e^{-i theta_k x} = e^{i (pi - pi/M) x} e^{-2 pi i k x / M}, so the field
+    is fftn of the symbols times that twiddle over M^d.  The flattened theta
+    axis becomes trailing (M,)*d axes, window index x + M/2.  Each value
+    carries the anti-periodic images f(x + nM) (-1)^n: the error is the
+    field's mass beyond the window.
+    """
+    m, dim = grid.nodes_per_axis, grid.dim
+    axes = tuple(range(-dim, 0))
+    arr = np.reshape(symbols, np.shape(symbols)[:-1] + (m,) * dim)
+    out = scipy.fft.fftn(arr, axes=axes, norm="forward") * _window_twiddle(grid, 1)
+    return scipy.fft.fftshift(out.real, axes=axes)
+
+
+def torus_symbols(field_: np.ndarray, grid: ThetaGrid) -> np.ndarray:
+    """Forward transform of a torus-window field: the inverse of ``torus_field``.
+
+    Trailing (M,)*d window axes become one flattened theta axis (complex).
+    """
+    dim = grid.dim
+    axes = tuple(range(-dim, 0))
+    arr = scipy.fft.ifftshift(field_, axes=axes) * _window_twiddle(grid, -1)
+    out = scipy.fft.ifftn(arr, axes=axes, norm="forward")
+    return out.reshape(out.shape[:out.ndim - dim] + (-1,))
+
+
 # ---------------------------------------------------------------------------
 # fundamental solution of the 2x2 Fourier-space system
 # ---------------------------------------------------------------------------
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1) / z, extended analytically through z = 0."""
-    out = np.empty_like(z)
     small = np.abs(z) < 1e-6
+    if not small.any():     # elementwise, so the unmasked form gives the same bits
+        return np.expm1(z) / z
+    out = np.empty_like(z)
     zs = z[small]
     out[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
     zb = z[~small]
@@ -154,10 +205,11 @@ def _exp_diff_quotient(p, q, t) -> np.ndarray:
     """
     p, q, t = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (p, q, t)))
     z = (p - q) * t
-    out = np.empty_like(z)
     big = z > 30.0
-    if big.any():
-        out[big] = (np.exp(p[big] * t[big]) - np.exp(q[big] * t[big])) / (p[big] - q[big])
+    if not big.any():       # elementwise, so the unmasked form gives the same bits
+        return t * np.exp(q * t) * _phi1(z)
+    out = np.empty_like(z)
+    out[big] = (np.exp(p[big] * t[big]) - np.exp(q[big] * t[big])) / (p[big] - q[big])
     rest = ~big
     out[rest] = t[rest] * np.exp(q[rest] * t[rest]) * _phi1(z[rest])
     return out
@@ -451,75 +503,91 @@ def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
 # second moments, Fourier/Duhamel route
 # ---------------------------------------------------------------------------
 
-def _duhamel_symbols(model: TwoTypeModel, t: float, tr: BoxTransform,
-                     coef: ThetaCoefficients, coef0: ThetaCoefficients,
-                     n_nodes: int) -> tuple[np.ndarray, float]:
-    """mhat^(2)(t, theta, 0) with a fixed Gauss-Legendre node count.
+def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
+                         ) -> tuple[np.ndarray, float, bool]:
+    """init + int_0^t f(s) ds by Gauss-Legendre nodes, doubled until converged.
+
+    ``node_sum(s, w)`` takes one block of at most QUAD_BLOCK nodes and
+    weights and returns (sum_k w_k f(s_k), mass), where mass is a
+    per-node defect; the result carries the worst mass of the last rule.
+    The node count doubles from QUAD_START_NODES until ``view`` of the
+    results of n and 2n nodes differ by less than QUAD_TOL relative to the
+    field scale.  If QUAD_MAX_NODES is reached first, the last result is
+    returned with converged False.
+    """
+    def rule(n_nodes):
+        x, w = leggauss(n_nodes)
+        s_nodes, w = 0.5 * t * (x + 1.0), 0.5 * t * w
+        acc, mass = init.copy(), 0.0
+        for lo in range(0, n_nodes, QUAD_BLOCK):
+            part, blk_mass = node_sum(s_nodes[lo:lo + QUAD_BLOCK], w[lo:lo + QUAD_BLOCK])
+            acc += part
+            mass = max(mass, blk_mass)
+        return acc, mass
+
+    nodes = QUAD_START_NODES
+    value, mass = rule(nodes)
+    cur = view(value)
+    while 2 * nodes <= QUAD_MAX_NODES:
+        nodes *= 2
+        value, mass = rule(nodes)
+        prev, cur = cur, view(value)
+        if np.abs(cur - prev).max() <= QUAD_TOL * (1.0 + np.abs(cur).max()):
+            return value, mass, True
+    return value, mass, False
+
+
+def _duhamel_nodes(model: TwoTypeModel, t: float, tr: BoxTransform,
+                   coef: ThetaCoefficients, coef0: ThetaCoefficients,
+                   s_blk: np.ndarray, w_blk: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weighted Duhamel integrand U(t - s) f(s) over one block of time nodes,
+    and the worst box-mass defect of its convolution inputs.
 
     ``coef`` holds the drift coefficients on the grid points and ``coef0``
     those at theta = 0, computed once per second-moment call.
     """
     dc = model.derived
     dens = dc.factorial_density
-    n_points = tr.grid.n_points
-    x, w = leggauss(n_nodes)
-    s_nodes, w = 0.5 * t * (x + 1.0), 0.5 * t * w
-
-    # homogeneous part: U(t) applied to the delta initial data
-    acc = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t).astype(complex)
-    defect = 0.0
     box_shape = _box_shape(tr.box_radius, model.dim)
-    block = 48
-    for lo in range(0, n_nodes, block):
-        s_blk = s_nodes[lo:lo + block]
-        w_blk = w[lo:lo + block]
-        sym1 = _moment_symbols(coef, dc, s_blk[:, None])           # (2, 2, B, N)
-        m1 = tr.to_box(sym1.astype(complex))
-        m1 = m1.reshape(2, 2, len(s_blk), -1)
-        # worst box-mass defect of the convolution inputs
-        tot = m1.sum(axis=-1)
-        sym0 = _moment_symbols(coef0, dc, s_blk[:, None])
-        defect = max(defect, float(np.abs(tot - sym0[..., 0]).max()))
-        prod = np.stack([m1[0] * m1[0], m1[1] * m1[1], m1[0] * m1[1]])
-        fhat = np.empty((2, 2, len(s_blk), n_points), dtype=complex)
-        for i in range(2):
-            comb = (dens[i, 0, 0] * prod[0] + dens[i, 1, 1] * prod[1]
-                    + 2.0 * dens[i, 0, 1] * prod[2])
-            fhat[i] = tr.to_theta(comb.reshape((2, len(s_blk)) + box_shape))
-        u = fundamental_solution(coef.a, coef.d, dc.b, dc.c,
-                                 (t - s_blk)[:, None])             # (2, 2, B, N)
-        for i in range(2):
-            for j in range(2):
-                contrib = u[i, 0] * fhat[0, j] + u[i, 1] * fhat[1, j]
-                acc[i, j] += np.tensordot(w_blk, contrib, axes=([0], [0]))
-    return acc, defect
+    sym1 = _moment_symbols(coef, dc, s_blk[:, None])               # (2, 2, B, N)
+    m1 = tr.to_box(sym1.astype(complex))
+    m1 = m1.reshape(2, 2, len(s_blk), -1)
+    tot = m1.sum(axis=-1)
+    sym0 = _moment_symbols(coef0, dc, s_blk[:, None])
+    defect = float(np.abs(tot - sym0[..., 0]).max())
+    prod = np.stack([m1[0] * m1[0], m1[1] * m1[1], m1[0] * m1[1]])
+    fhat = np.empty((2, 2, len(s_blk), tr.grid.n_points), dtype=complex)
+    for i in range(2):
+        comb = (dens[i, 0, 0] * prod[0] + dens[i, 1, 1] * prod[1]
+                + 2.0 * dens[i, 0, 1] * prod[2])
+        fhat[i] = tr.to_theta(comb.reshape((2, len(s_blk)) + box_shape))
+    u = fundamental_solution(coef.a, coef.d, dc.b, dc.c,
+                             (t - s_blk)[:, None])                 # (2, 2, B, N)
+    part = np.empty((2, 2, tr.grid.n_points), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            contrib = u[i, 0] * fhat[0, j] + u[i, 1] * fhat[1, j]
+            part[i, j] = np.tensordot(w_blk, contrib, axes=([0], [0]))
+    return part, defect
 
 
 def _second_moment_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
                            tr: BoxTransform) -> tuple[np.ndarray, float, bool]:
     """mhat^(2)(t, theta, 0), its box defect, and whether the quadrature converged.
 
-    Gauss-Legendre in s, doubling the node count from QUAD_START_NODES
-    until the box fields of n and 2n nodes differ by less than QUAD_TOL
-    relative to the field scale.  If QUAD_MAX_NODES is reached first, the
-    last result is returned with converged False.
+    The homogeneous part U(t) applied to the delta initial data plus the
+    Duhamel integral, by ``_doubling_quadrature`` on the box fields.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     coef = theta_coefficients(model, grid.points)
+    dc = model.derived
     if t == 0.0:
-        return _moment_symbols(coef, model.derived, 0.0).astype(complex), 0.0, True
+        return _moment_symbols(coef, dc, 0.0).astype(complex), 0.0, True
     coef0 = theta_coefficients(model, np.zeros((1, model.dim)))
-    nodes = QUAD_START_NODES
-    sym2, defect = _duhamel_symbols(model, t, tr, coef, coef0, nodes)
-    vals = tr.to_box(sym2)
-    while 2 * nodes <= QUAD_MAX_NODES:
-        nodes *= 2
-        sym2, defect = _duhamel_symbols(model, t, tr, coef, coef0, nodes)
-        prev, vals = vals, tr.to_box(sym2)
-        if np.abs(vals - prev).max() <= QUAD_TOL * (1.0 + np.abs(vals).max()):
-            return sym2, defect, True
-    return sym2, defect, False
+    init = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t).astype(complex)
+    return _doubling_quadrature(t, init, partial(_duhamel_nodes, model, t, tr, coef, coef0),
+                                tr.to_box)
 
 
 def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,

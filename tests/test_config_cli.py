@@ -8,7 +8,7 @@ import pytest
 
 from brw2 import simulate
 from brw2.cli import main
-from brw2.config import (ConfigError, config_hash, parse_config, preset,
+from brw2.config import (PRESET_NAMES, ConfigError, config_hash, parse_config, preset,
                          serialize_config)
 from brw2.simulate import run, snapshot
 
@@ -84,6 +84,30 @@ model:
         cfg = parse_config(CRITICAL_1D)
         assert parse_config(serialize_config(cfg)) == cfg
         assert config_hash(cfg) == config_hash(parse_config(serialize_config(cfg)))
+
+    def test_presets_equal_their_serialized_round_trip(self):
+        # the presets build their documents without YAML; parsing their
+        # serialization must give the same config and the same hash
+        for name in PRESET_NAMES:
+            cfg = preset(name)
+            again = parse_config(serialize_config(cfg))
+            assert again == cfg
+            assert config_hash(again) == config_hash(cfg)
+
+    def test_equal_configs_hash_equal(self):
+        a, b = parse_config(CRITICAL_1D), parse_config(CRITICAL_1D)
+        assert a == b and a is not b
+        assert config_hash(a) == config_hash(b)
+        assert config_hash(a.with_overrides(seed=a.experiment.seed)) == config_hash(a)
+        assert config_hash(a.with_overrides(seed=a.experiment.seed + 1)) != config_hash(a)
+        assert config_hash(preset("fig-z2")) == config_hash(preset("fig-z2"))
+
+    def test_non_finite_number_rejected(self):
+        bad = MINIMAL + """experiment:
+  horizon: .inf
+"""
+        with pytest.raises(ConfigError, match="experiment.horizon: expected a finite"):
+            parse_config(bad)
 
     def test_presets_round_trip_and_parameters(self):
         z1 = preset("fig-z1")
@@ -197,9 +221,9 @@ experiment:
         rc = self._run(["epidemic", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         epi = (out / "epidemic.csv").read_text().strip().splitlines()
-        assert epi[0] == "t,x1,R1,R2,M2_diag,ratio"
+        assert epi[0] == "t,x1,R1,R2,M2_diag,ratio,boundary_mass,degraded"
         corr = (out / "corr.csv").read_text().strip().splitlines()
-        assert corr[0] == "t,u1,R11,R12,R22"
+        assert corr[0] == "t,u1,R11,R12,R22,boundary_mass,degraded"
         assert len(corr) == 1 + 13
 
     def test_clusters_command_1d(self, tmp_path):

@@ -198,9 +198,9 @@ GOLDEN = {
             "e4257b5adcbbb920f674b91edc34945ceace5638ee23586acc0fc3d7a0b9cb81"}),
     "epidemic": (["--preset", "fig-z2", "--t", "1", "--box", "6"], {
         "epidemic.csv":
-            "4aa577512a9322094a4d8a189ef007d343a1cdf6e55d73c8ef382ab12c6047d8",
+            "d3cb575acbe2ce0f1b1d44511d6c4dac1a260d0d7ce13759ff22e9e92e39f235",
         "corr.csv":
-            "19a06df36b8ddb68dfac27cfad97a8de0fdd5489f6b2a261ed9333132d76412b"}),
+            "cf34112bcb440d193699e4429f1153b0aad55b8b60de942c5c577f67343595b5"}),
     "cells": (["--config", CELLS_D2], {
         "cells.csv":
             "12f2b395d7c674a855b8cc9c98bb09acf7892fc61e993dcd41cdfc2c3cacdeb5"}),

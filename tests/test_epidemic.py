@@ -6,12 +6,14 @@ import numpy.testing as npt
 import pytest
 
 from brw2.branching import TwoTypeModel
-from brw2.epidemic import (EpidemicLaw, correlation_ode, epidemic_first_moment_profiles,
-                           epidemic_m2, intermittency_ratio)
+from brw2.config import preset
+from brw2.epidemic import (EpidemicLaw, correlation_box_ode, correlation_ode,
+                           epidemic_first_moment_profiles, epidemic_m2,
+                           intermittency_ratio)
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
-from brw2.moments import (_phase_sum, first_moment_ode_oracle, first_moment_symbols,
-                          second_moment_ode_oracle)
+from brw2.moments import (BOUNDARY_TOL, ODE_ATOL, _phase_sum, first_moment_ode_oracle,
+                          first_moment_symbols, second_moment_ode_oracle)
 from brw2.simulate import map_replicas
 
 K1 = simple_kernel(1)
@@ -164,7 +166,7 @@ class TestIntermittencyRatio:
 class TestCorrelations:
     def test_initial_conditions_and_conversion_free_case(self):
         law = EpidemicLaw(mu1=0.2, mu2=0.1, infection_rates={2: 0.3})
-        fields = correlation_ode(law, K1, 1.0, K1, 1.0, [0.0, 1.5], 8)
+        fields = correlation_box_ode(law, K1, 1.0, K1, 1.0, [0.0, 1.5], 8)
         f0, f1 = fields
         assert f0.pair("r11", 0, 0) == 1.0
         assert np.abs(f0.r22).max() == 0.0
@@ -174,7 +176,7 @@ class TestCorrelations:
 
     def test_pure_walk_pair_function_is_diagonal(self):
         law = EpidemicLaw(mu1=0.0, mu2=0.0, infection_rates={})
-        fld = correlation_ode(law, K1, 1.0, K1, 1.0, 2.0, 14)
+        fld = correlation_box_ode(law, K1, 1.0, K1, 1.0, 2.0, 14)
         grid = ThetaGrid.for_dim(1)
         for x in (-2, 0, 3):
             expect = transition_probability(K1, 1.0, 2.0, 0, x, grid)
@@ -189,10 +191,10 @@ class TestCorrelations:
                               partial(_walk_product_moments, t=t))
         arr = np.array(res, dtype=float)
         fld = correlation_ode(law, K1, 1.0, K1, 1.0, t, 12)
-        for col, (x, y) in ((0, (0, 0)), (1, (0, 1))):
+        for col, u in ((0, 0), (1, 1)):
             mc = arr[:, col].mean()
             se = arr[:, col].std(ddof=1) / math.sqrt(len(arr))
-            assert abs(mc - fld.pair("r11", x, y)) < 4 * max(se, 1e-4)
+            assert abs(mc - fld.value("r11", u)) < 4 * max(se, 1e-4)
 
     def test_conversion_chain_against_monte_carlo(self):
         # full system: infected branch, convert; check R12 and R22 vs MC
@@ -204,11 +206,11 @@ class TestCorrelations:
         arr = np.array(res, dtype=float)
         fld = correlation_ode(law, K1, 1.0, K1, 1.0, t, 12)
         checks = [
-            (0, fld.pair("r12", 0, 0)),
-            (1, fld.pair("r22", 0, 0)),
-            (2, fld.pair("r22", 0, 1)),
-            (3, fld.first("r1", 0)),
-            (4, fld.first("r2", 0)),
+            (0, fld.value("r12", 0)),
+            (1, fld.value("r22", 0)),
+            (2, fld.value("r22", 1)),
+            (3, fld.value("r1", 0)),
+            (4, fld.value("r2", 0)),
         ]
         for col, theory in checks:
             mc = arr[:, col].mean()
@@ -217,7 +219,7 @@ class TestCorrelations:
 
     def test_symmetry_and_variance_bounds(self):
         law = supercritical_law()
-        fld = correlation_ode(law, K1, 1.0, K1, 1.0, 5.0, 16)
+        fld = correlation_box_ode(law, K1, 1.0, K1, 1.0, 5.0, 16)
         npt.assert_array_equal(fld.r11, fld.r11.T)
         npt.assert_array_equal(fld.r22, fld.r22.T)
         diag11 = np.diag(fld.r11)
@@ -227,7 +229,7 @@ class TestCorrelations:
 
     def test_first_moments_match_closed_forms(self):
         law = supercritical_law()
-        fld = correlation_ode(law, K1, 1.0, K1, 1.0, 2.0, 20)
+        fld = correlation_box_ode(law, K1, 1.0, K1, 1.0, 2.0, 20)
         prof1, prof2 = epidemic_first_moment_profiles(law, K1, 1.0, K1, 1.0, 2.0, 20)
         npt.assert_allclose(fld.r1, prof1, atol=1e-7)
         npt.assert_allclose(fld.r2, prof2, atol=1e-7)
@@ -235,17 +237,75 @@ class TestCorrelations:
     def test_non_intermittency_at_fixed_site(self):
         law = supercritical_law()
         fields = correlation_ode(law, K1, 1.0, K1, 1.0, [5.0, 10.0, 20.0], 16)
-        ratios = []
-        for fld in fields:
-            c = fld._idx(0)
-            ratios.append(fld.r22[c, c] / fld.r2[c] ** 2)
+        ratios = [fld.value("r22", 0) / fld.value("r2", 0) ** 2 for fld in fields]
         assert max(ratios) / min(ratios) < 2.0
 
     def test_u_slice_is_origin_anchored(self):
         law = supercritical_law()
-        fld = correlation_ode(law, K1, 1.0, K1, 1.0, 1.0, 6)
+        fld = correlation_box_ode(law, K1, 1.0, K1, 1.0, 1.0, 6)
         sl = fld.u_slice("r11")
         npt.assert_allclose(sl[6 + 2], fld.pair("r11", 0, 2), rtol=0)
+
+    @staticmethod
+    def _assert_matches_oracle(fields, oracle, dim):
+        # the route's window is the oracle box less a margin, so the
+        # oracle's absorbing edge stays out of the comparison
+        for fld, ora in zip(fields, oracle):
+            assert ora.boundary_mass < BOUNDARY_TOL
+            side = 2 * ora.box_radius + 1
+            margin = ora.box_radius - fld.box_radius
+            inner = (slice(margin, side - margin),) * dim
+            for name in ("r11", "r12", "r22", "r1", "r2"):
+                full = ora.u_slice(name) if len(name) == 3 else getattr(ora, name)
+                expect = full.reshape((side,) * dim)[inner].ravel()
+                npt.assert_allclose(getattr(fld, name), expect, rtol=1e-6, atol=ODE_ATOL,
+                                    err_msg=f"{name} at t={fld.t}")
+
+    def test_many_to_two_matches_box_oracle_1d(self):
+        # unequal kernels and kappas, a three-child infection, immune deaths
+        law = EpidemicLaw(mu1=0.05, mu2=0.1, infection_rates={2: 0.5, 3: 0.2},
+                          conversion_rate=0.3)
+        k2 = uniform_range_kernel(1, 2)
+        times = [0.5, 1.0, 2.0]
+        oracle = correlation_box_ode(law, K1, 1.0, k2, 1.5, times, 16)
+        fields = correlation_ode(law, K1, 1.0, k2, 1.5, times, 12)
+        assert all(f.converged and not f.degraded for f in fields)
+        self._assert_matches_oracle(fields, oracle, 1)
+
+    def test_many_to_two_matches_box_oracle_2d(self):
+        law = immune_law(mu2=0.1)
+        k1, k2 = simple_kernel(2), uniform_range_kernel(2, 1)
+        times = [0.5, 1.0]
+        oracle = correlation_box_ode(law, k1, 1.0, k2, 0.5, times, 6)
+        fields = correlation_ode(law, k1, 1.0, k2, 0.5, times, 4)
+        self._assert_matches_oracle(fields, oracle, 2)
+
+    def test_r11_at_origin_equals_epidemic_m2(self):
+        # two routes to E[N1(t, 0)^2] on the fig-z2 model
+        cfg = preset("fig-z2")
+        law, grid = cfg.build_epidemic_law(), cfg.build_grid()
+        k1, k2 = cfg.build_kernel(1), cfg.build_kernel(2)
+        times = [1.0, 4.0]
+        fields = correlation_ode(law, k1, 1.0, k2, 1.0, times, 2, grid=grid)
+        for fld in fields:
+            m2 = epidemic_m2(law, k1, 1.0, fld.t, (0, 0), (0, 0), grid, 15)
+            npt.assert_allclose(fld.value("r11", (0, 0)), m2.value, rtol=1e-10)
+            assert not fld.degraded
+
+    def test_coarse_torus_reports_degraded(self):
+        # fig-z2 at t = 4 spreads well past a 16-node torus's shell
+        cfg = preset("fig-z2")
+        fld = correlation_ode(cfg.build_epidemic_law(), cfg.build_kernel(1), 1.0,
+                              cfg.build_kernel(2), 1.0, 4.0, 4, grid=ThetaGrid(2, 16))
+        assert fld.boundary_mass > BOUNDARY_TOL
+        assert fld.degraded
+
+    def test_window_must_fit_the_torus(self):
+        law = supercritical_law()
+        with pytest.raises(ValueError, match="grid nodes per axis"):
+            correlation_ode(law, K1, 1.0, K1, 1.0, 1.0, 8, grid=ThetaGrid(1, 16))
+        fld = correlation_ode(law, K1, 1.0, K1, 1.0, 1.0, 7, grid=ThetaGrid(1, 16))
+        assert fld.r11.shape == (15,)
 
 
 class TestEngineConsistency:

@@ -10,10 +10,12 @@ from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.epidemic import EpidemicLaw, epidemic_first_moment_profiles, epidemic_m2
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
+from brw2.epidemic import correlation_ode
 from brw2.moments import (BoxTransform, box_sites, first_moment_asymptote,
                           first_moment_field, first_moment_ode_oracle,
                           first_moment_symbols, fundamental_solution,
-                          second_moment_field, second_moment_ode_oracle)
+                          second_moment_field, second_moment_ode_oracle,
+                          torus_field, torus_symbols)
 
 
 def model_case(name: str) -> TwoTypeModel:
@@ -291,6 +293,43 @@ class TestBoxTransform:
                               [1, -1], [1, 0], [1, 1]]
 
 
+class TestTorusTransform:
+    @pytest.mark.parametrize("dim, nodes", [(1, 64), (2, 32)])
+    def test_round_trip(self, dim, nodes):
+        grid = ThetaGrid.for_dim(dim, nodes)
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=(2,) + (nodes,) * dim)
+        npt.assert_allclose(torus_field(torus_symbols(f, grid), grid), f, atol=1e-13)
+        # symbols of real fields come back too (torus_field keeps the real part)
+        k = simple_kernel(dim)
+        model = TwoTypeModel(k, k, 1.0, 1.0, model_case("b+c+").law)
+        sym = first_moment_symbols(model, 1.0, grid.points)
+        npt.assert_allclose(torus_symbols(torus_field(sym, grid), grid), sym, atol=1e-13)
+
+    @pytest.mark.parametrize("dim, nodes", [(1, 64), (2, 32)])
+    def test_agrees_with_box_transform_on_the_box(self, dim, nodes):
+        # the box is the centre of the window: index x + M/2
+        grid = ThetaGrid.for_dim(dim, nodes)
+        k = simple_kernel(dim)
+        model = TwoTypeModel(k, k, 1.0, 1.0, model_case("b+c+").law)
+        sym = first_moment_symbols(model, 1.5, grid.points)
+        tr = BoxTransform(grid, (nodes - 1) // 4)
+        centre = (Ellipsis,) + (slice(nodes // 2 - tr.box_radius,
+                                      nodes // 2 + tr.box_radius + 1),) * dim
+        npt.assert_allclose(torus_field(sym, grid)[centre], tr.to_box(sym), atol=1e-15)
+
+    def test_window_holds_the_lattice_field(self):
+        # a field supported well inside the window comes back exactly,
+        # at the window coordinates x in [-M/2, M/2)
+        grid = ThetaGrid.for_dim(1, 16)
+        f = np.zeros(16)
+        f[[0 + 8, -3 + 8, 7 + 8]] = [1.0, 0.5, 0.25]
+        theta = grid.points[:, 0]
+        sym = 1.0 + 0.5 * np.exp(-3j * theta) + 0.25 * np.exp(7j * theta)
+        npt.assert_allclose(torus_symbols(f, grid), sym, atol=1e-14)
+        npt.assert_allclose(torus_field(sym, grid), f, atol=1e-15)
+
+
 class TestMomentFieldApi:
     def test_site_lookup_and_errors(self):
         model = model_case("b0c0")
@@ -336,3 +375,12 @@ class TestQuadratureCap:
         law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
                           conversion_rate=0.2)
         assert epidemic_m2(law, simple_kernel(1), 1.0, 5.0, 0, 0).degraded
+
+    def test_pair_route_shares_the_cap(self, monkeypatch):
+        monkeypatch.setattr(moments, "QUAD_MAX_NODES", moments.QUAD_START_NODES)
+        law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
+                          conversion_rate=0.2)
+        k = simple_kernel(1)
+        fld = correlation_ode(law, k, 1.0, k, 1.0, 5.0, 4)
+        assert not fld.converged
+        assert fld.degraded
