@@ -3,10 +3,10 @@
 first and second moments across the (b, c) case configurations and the
 fig-z2 conversion law, then the epidemic pair correlations: the
 many-to-two route (``correlation_ode``) against the origin slices of the
-box pair ODE (``correlation_box_ode``), compared on the oracle box less a
-margin of 4 sites so its absorbing edge stays out.
+box pair ODE (``correlation_box_ode``, box radius 16), compared on the
+oracle box less a margin of 4 sites so its absorbing edge stays out.
 
-Usage: python scripts/moment_parity_sweep.py [--box L] [--pair-box L] [--times 0.5,1,2,5]
+Usage: python scripts/moment_parity_sweep.py [--box L] [--times 0.5,1,2,5]
 """
 
 import argparse
@@ -42,6 +42,7 @@ PAIR_CASES = {
     "n=2,3": EpidemicLaw(mu1=0.05, mu2=0.1, infection_rates={2: 0.5, 3: 0.2},
                          conversion_rate=0.3),
 }
+PAIR_BOX = 16           # pair ODE oracle box radius; its states grow as L^(2d)
 PAIR_MARGIN = 4
 
 
@@ -49,15 +50,15 @@ def _rel(new, old):
     return (np.abs(new - old) / (np.abs(old) + 1e-8)).max()
 
 
-def pair_rows(times, box) -> None:
+def pair_rows(times) -> None:
     """R11, R12, R22 of the many-to-two route against the box pair ODE."""
     k1, k2 = simple_kernel(1), uniform_range_kernel(1, 2)
-    inner = slice(PAIR_MARGIN, 2 * box + 1 - PAIR_MARGIN)
+    inner = slice(PAIR_MARGIN, 2 * PAIR_BOX + 1 - PAIR_MARGIN)
     print(f"{'pair case':>10} {'t':>5} {'rel d R11':>12} {'rel d R12':>12} "
           f"{'rel d R22':>12} {'flux':>9}")
     for name, law in PAIR_CASES.items():
-        oracle = correlation_box_ode(law, k1, 1.0, k2, 1.5, times, box)
-        fields = correlation_ode(law, k1, 1.0, k2, 1.5, times, box - PAIR_MARGIN)
+        oracle = correlation_box_ode(law, k1, 1.0, k2, 1.5, times, PAIR_BOX)
+        fields = correlation_ode(law, k1, 1.0, k2, 1.5, times, PAIR_BOX - PAIR_MARGIN)
         for ora, fld in zip(oracle, fields):
             d = [_rel(getattr(fld, n), ora.u_slice(n)[inner]) for n in ("r11", "r12", "r22")]
             print(f"{name:>10} {ora.t:>5.1f} {d[0]:>12.2e} {d[1]:>12.2e} {d[2]:>12.2e} "
@@ -67,8 +68,6 @@ def pair_rows(times, box) -> None:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--box", type=int, default=30)
-    ap.add_argument("--pair-box", type=int, default=16,
-                    help="box radius of the pair ODE oracle (states grow as L^2)")
     ap.add_argument("--times", default="0.5,1,2,5")
     args = ap.parse_args()
     times = [float(t) for t in args.times.split(",")]
@@ -85,7 +84,7 @@ def main() -> None:
             d2 = _rel(f2.values, f2o.values)
             print(f"{name:>10} {f1o.t:>5.1f} {d1:>12.2e} {d2:>12.2e} "
                   f"{f2o.boundary_mass:>9.1e}")
-    pair_rows(times, args.pair_box)
+    pair_rows(times)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .config import ConfigError, RunConfig, config_hash, parse_config, preset, \
     PRESET_NAMES
 from .csvio import Table, write_csv, write_manifest
 from .epidemic import M1_FLOOR, correlation_ode, epidemic_first_moment_profiles, \
-    epidemic_m2
+    epidemic_m2, max_pair_window
 from .moments import (box_sites, first_moment_field, first_moment_ode_oracle,
                       second_moment_field, second_moment_ode_oracle)
 from .simulate import FATE_BRANCHED, FATE_JUMPED, FATE_NAMES, SimulationRun, \
@@ -223,6 +223,11 @@ def command_epidemic(cfg: RunConfig) -> int:
     exp = cfg.experiment
     out = Path(exp.out_dir)
     grid = cfg.build_grid()
+    if exp.corr_box_radius > max_pair_window(grid.nodes_per_axis):
+        # refuse before any output: the pair route's window must fit the torus
+        raise ConfigError("experiment.corr_box_radius",
+                          f"must be at most a quarter of the {grid.nodes_per_axis} "
+                          f"theta nodes per axis; got {exp.corr_box_radius}")
     k1, k2 = cfg.build_kernel(1), cfg.build_kernel(2)
     sites = box_sites(exp.box_radius, cfg.dim)
     parts = []

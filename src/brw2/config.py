@@ -130,7 +130,7 @@ class RunConfig:
             ("box_radius", box_radius), ("grid_nodes", grid_nodes))
             if value is not None}
         if t_list is not None:
-            ts = tuple(float(t) for t in t_list)
+            ts = _parse_times([float(t) for t in t_list])
             exp_updates["t_list"] = ts
             exp_updates["horizon"] = max(ts)
         exp = replace(self.experiment, **exp_updates)
@@ -167,6 +167,15 @@ def _reject_unknown(node: dict, allowed, path):
     unknown = set(node) - set(allowed)
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+
+
+def _parse_times(node) -> tuple[float, ...]:
+    """experiment.t_list: at least one time, each finite and >= 0."""
+    t_list = tuple(_num(t, f"experiment.t_list[{i}]")
+                   for i, t in enumerate(_expect_list(node, "experiment.t_list")))
+    if not t_list or any(t < 0 for t in t_list):
+        raise ConfigError("experiment.t_list", "need at least one time, all >= 0")
+    return t_list
 
 
 def _parse_vector(node, dim, path) -> tuple[int, ...]:
@@ -269,11 +278,7 @@ def _parse_doc(doc) -> RunConfig:
 
     exp_node = _expect_map(doc.get("experiment", {}), "experiment")
     _reject_unknown(exp_node, _EXP_KEYS, "experiment")
-    t_list = tuple(_num(t, f"experiment.t_list[{i}]")
-                   for i, t in enumerate(_expect_list(exp_node.get("t_list", [1.0]),
-                                                      "experiment.t_list")))
-    if not t_list or any(t < 0 for t in t_list):
-        raise ConfigError("experiment.t_list", "need at least one time, all >= 0")
+    t_list = _parse_times(exp_node.get("t_list", [1.0]))
     horizon = _num(exp_node.get("horizon", max(t_list)), "experiment.horizon")
     if horizon < max(t_list):
         raise ConfigError("experiment.horizon",
@@ -339,7 +344,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def config_hash(cfg: RunConfig) -> str:
     """sha256 of the canonical JSON of the config; every number is finite
-    (``_num`` rejects the rest), so ``allow_nan=False`` never fires."""
+    (``_num`` rejects the rest, also for ``--t`` overrides), so
+    ``allow_nan=False`` never fires."""
     text = json.dumps(_config_doc(cfg), sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
     return hashlib.sha256(text.encode()).hexdigest()

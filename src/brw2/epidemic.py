@@ -55,6 +55,7 @@ __all__ = [
     "intermittency_ratio",
     "correlation_ode",
     "correlation_box_ode",
+    "max_pair_window",
 ]
 
 M1_FLOOR = 1e-280
@@ -236,6 +237,18 @@ class PairSlices:
         return float(getattr(self, name)[_flat_index(u, self.box_radius)])
 
 
+def max_pair_window(nodes_per_axis: int) -> int:
+    """Largest output radius of ``correlation_ode`` on M nodes per axis: M // 4.
+
+    The pair symbols are cyclic convolutions on the torus, so a term g(w)
+    R(u - w) with |u - w| >= M/2 lands on the window wrapped by M.  With
+    |u| <= M/4 such a pair has |w| + |u - w - M| >= 3M/4 in the wrapped
+    coordinate, so one factor sits on the 3M/8 shell that ``boundary_mass``
+    measures; past M/4 both can sit inside it, unmeasured.
+    """
+    return nodes_per_axis // 4
+
+
 def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
                     kernel2: JumpKernel, kappa2: float, t, box_radius: int,
                     boundary_tol: float = BOUNDARY_TOL, grid: ThetaGrid | None = None):
@@ -254,9 +267,11 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     first-moment symbols; fields and products live on the theta grid's
     torus window (``moments.torus_field``), and the time integral is the
     engine's Gauss-Legendre doubling loop.  ``box_radius`` is only the
-    output window and needs 2 box_radius < M.  ``boundary_mass`` is the
-    largest mass of R1(s), R1(t - s) and R2(t - s) on the torus shell (some
-    |x_k| >= 3M/8) over the nodes; aliasing is bounded by it.
+    output window and needs box_radius <= M/4 (``max_pair_window``).
+    ``boundary_mass`` is the largest mass of R1(s), R1(t - s) and R2(t - s)
+    on the torus shell (some |x_k| >= 3M/8) over the nodes: within that
+    window every wrapped term of the cyclic convolution has a factor on the
+    shell, so the wrap-around error is of the order of this mass.
 
     The name is kept from the box ODE this route replaced, now
     ``correlation_box_ode``, because the benchmark wraps this function by
@@ -267,9 +282,9 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
     grid = grid or ThetaGrid.for_dim(model.dim)
     m, dim = grid.nodes_per_axis, model.dim
-    if 2 * box_radius >= m:
-        raise ValueError(f"output window of radius {box_radius} needs more than "
-                         f"{2 * box_radius} grid nodes per axis, got {m}")
+    if box_radius > max_pair_window(m):
+        raise ValueError(f"output window of radius {box_radius} needs at least "
+                         f"{4 * box_radius} grid nodes per axis, got {m}")
     dc = model.derived
     coef = theta_coefficients(model, grid.points)
     shell = (np.abs(np.indices((m,) * dim) - m // 2) >= 3 * m / 8).any(axis=0)

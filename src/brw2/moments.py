@@ -185,10 +185,8 @@ def torus_symbols(field_: np.ndarray, grid: ThetaGrid) -> np.ndarray:
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1) / z, extended analytically through z = 0."""
-    small = np.abs(z) < 1e-6
-    if not small.any():     # elementwise, so the unmasked form gives the same bits
-        return np.expm1(z) / z
     out = np.empty_like(z)
+    small = np.abs(z) < 1e-6
     zs = z[small]
     out[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
     zb = z[~small]
@@ -205,11 +203,10 @@ def _exp_diff_quotient(p, q, t) -> np.ndarray:
     """
     p, q, t = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (p, q, t)))
     z = (p - q) * t
-    big = z > 30.0
-    if not big.any():       # elementwise, so the unmasked form gives the same bits
-        return t * np.exp(q * t) * _phi1(z)
     out = np.empty_like(z)
-    out[big] = (np.exp(p[big] * t[big]) - np.exp(q[big] * t[big])) / (p[big] - q[big])
+    big = z > 30.0
+    if big.any():
+        out[big] = (np.exp(p[big] * t[big]) - np.exp(q[big] * t[big])) / (p[big] - q[big])
     rest = ~big
     out[rest] = t[rest] * np.exp(q[rest] * t[rest]) * _phi1(z[rest])
     return out

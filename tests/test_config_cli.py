@@ -108,6 +108,9 @@ model:
 """
         with pytest.raises(ConfigError, match="experiment.horizon: expected a finite"):
             parse_config(bad)
+        for t in (float("inf"), float("nan")):   # --t values arrive as floats, not YAML
+            with pytest.raises(ConfigError, match=r"experiment\.t_list\[1\]: expected a finite"):
+                parse_config(MINIMAL).with_overrides(t_list=[1.0, t])
 
     def test_presets_round_trip_and_parameters(self):
         z1 = preset("fig-z1")
@@ -259,6 +262,25 @@ experiment:
         assert err["error"] == "config" and err["path"] == "experiment.t_list"
         assert not (out / "cells.csv").exists()
         assert calls == []
+
+    def test_epidemic_refuses_pair_window_past_a_quarter_torus(self, tmp_path, capsys):
+        # fig-z2 has corr box 10, more than 16 / 4
+        out = tmp_path / "epi"
+        rc = self._run(["epidemic", "--preset", "fig-z2", "--grid", "16",
+                        "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and err["path"] == "experiment.corr_box_radius"
+        assert not out.exists()
+
+    def test_non_finite_time_flag_exits_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "epi"
+        rc = self._run(["epidemic", "--preset", "fig-z2", "--t", "1,inf",
+                        "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and err["path"] == "experiment.t_list[1]"
+        assert not out.exists()
 
     def test_config_error_exit_code_and_json(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

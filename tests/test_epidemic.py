@@ -9,7 +9,7 @@ from brw2.branching import TwoTypeModel
 from brw2.config import preset
 from brw2.epidemic import (EpidemicLaw, correlation_box_ode, correlation_ode,
                            epidemic_first_moment_profiles, epidemic_m2,
-                           intermittency_ratio)
+                           intermittency_ratio, max_pair_window)
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
 from brw2.moments import (BOUNDARY_TOL, ODE_ATOL, _phase_sum, first_moment_ode_oracle,
@@ -301,11 +301,13 @@ class TestCorrelations:
         assert fld.degraded
 
     def test_window_must_fit_the_torus(self):
+        # past M/4 a wrapped convolution term can miss the 3M/8 shell
         law = supercritical_law()
+        assert max_pair_window(16) == 4
         with pytest.raises(ValueError, match="grid nodes per axis"):
-            correlation_ode(law, K1, 1.0, K1, 1.0, 1.0, 8, grid=ThetaGrid(1, 16))
-        fld = correlation_ode(law, K1, 1.0, K1, 1.0, 1.0, 7, grid=ThetaGrid(1, 16))
-        assert fld.r11.shape == (15,)
+            correlation_ode(law, K1, 1.0, K1, 1.0, 1.0, 5, grid=ThetaGrid(1, 16))
+        fld = correlation_ode(law, K1, 1.0, K1, 1.0, 1.0, 4, grid=ThetaGrid(1, 16))
+        assert fld.r11.shape == (9,)
 
 
 class TestEngineConsistency:
