@@ -233,8 +233,9 @@ class ThetaCoefficients(NamedTuple):
 
 
 def theta_coefficients(model: TwoTypeModel, theta) -> ThetaCoefficients:
-    """Fourier-space drift coefficients at ``theta``; the characteristic
-    roots live in ``moments.fundamental_solution``."""
+    """Fourier-space drift coefficients at ``theta``, an array of points or
+    a ``ThetaGrid`` (see ``fourier_symbol``); the characteristic roots live
+    in ``moments.fundamental_solution``."""
     dc = model.derived
     a = model.kappa1 * fourier_symbol(model.kernel1, theta) + dc.r1
     d = model.kappa2 * fourier_symbol(model.kernel2, theta) + dc.r2

@@ -148,14 +148,15 @@ def command_moments(cfg: RunConfig) -> int:
         par1 = np.abs(flat1f - flat1o).max(axis=(0, 1))
         par2 = (np.abs(flat2f - flat2o) / (1e-8 + np.abs(flat2o))).max(axis=(0, 1))
         bmass = max(o1.boundary_mass, o2.boundary_mass, f2.boundary_mass)
+        degraded = o1.degraded or o2.degraded or f2.degraded
         parts.append(_table(len(par1), t, *f1.sites.T,
                             flat1f[0, 0], flat1f[0, 1], flat1f[1, 0], flat1f[1, 1],
                             flat2f[0, 0], flat2f[0, 1], flat2f[1, 0], flat2f[1, 1],
-                            bmass, par1, par2))
+                            bmass, par1, par2, f2.converged, degraded))
     hdr = ["t", *_xcols(cfg.dim),
            "m11_1", "m12_1", "m21_1", "m22_1",
            "m11_2", "m12_2", "m21_2", "m22_2",
-           "boundary_mass", "parity_1", "parity_2"]
+           "boundary_mass", "parity_1", "parity_2", "converged", "degraded"]
     write_csv(out / "moments.csv", hdr, Table.concat(parts, len(hdr)))
     write_manifest(out, "moments", config_hash(cfg), exp.seed)
     return 0

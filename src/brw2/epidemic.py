@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,7 @@ import numpy as np
 from .branching import BranchingLaw, TwoTypeModel, theta_coefficients
 from .lattice import JumpKernel, ThetaGrid
 from .moments import (BOUNDARY_TOL, BoxTransform, _as_times, _doubling_quadrature,
-                      _first_moment_box, _moment_symbols, _phase_sum,
+                      _first_moment_box, _mirror_nodes, _moment_symbols, _phase_sum,
                       _second_moment_symbols, _solve_chained, box_sites,
                       build_box_generator, first_moment_symbols, torus_field,
                       torus_symbols)
@@ -182,7 +181,7 @@ def intermittency_ratio(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     out = []
     for t in sorted(float(v) for v in t_list):
         m2 = epidemic_m2(law, kernel1, kappa1, t, x, y, g, box_radius)
-        m1 = float(_phase_sum(first_moment_symbols(model, t, g.points)[0, 0], g, u))
+        m1 = float(_phase_sum(first_moment_symbols(model, t, g)[0, 0], g, u))
         in_regime = dist <= regime_c * math.sqrt(t) if t > 0 else True
         if m1 <= M1_FLOOR:
             out.append(RatioPoint(t=t, ratio=None, m1=m1, m2=m2.value,
@@ -266,7 +265,9 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     spines", Ann. IHP 2017).  R1^ and R2^ are the generic engine's
     first-moment symbols; fields and products live on the theta grid's
     torus window (``moments.torus_field``), and the time integral is the
-    engine's Gauss-Legendre doubling loop.  ``box_radius`` is only the
+    engine's Gauss-Legendre doubling loop.  Its nodes come in mirrored
+    pairs, so each node's symbols and fields are computed once and serve
+    as the t - s values of its mirror.  ``box_radius`` is only the
     output window and needs box_radius <= M/4 (``max_pair_window``).
     ``boundary_mass`` is the largest mass of R1(s), R1(t - s) and R2(t - s)
     on the torus shell (some |x_k| >= 3M/8) over the nodes: within that
@@ -286,25 +287,23 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
         raise ValueError(f"output window of radius {box_radius} needs at least "
                          f"{4 * box_radius} grid nodes per axis, got {m}")
     dc = model.derived
-    coef = theta_coefficients(model, grid.points)
+    coef = theta_coefficients(model, grid)
     shell = (np.abs(np.indices((m,) * dim) - m // 2) >= 3 * m / 8).any(axis=0)
     window = (Ellipsis,) + (slice(m // 2 - box_radius, m // 2 + box_radius + 1),) * dim
 
-    def node_sum(tv, s, w):
-        sym_s = _moment_symbols(coef, dc, s[:, None])[0, 0]              # R1^(s)
-        sym_r = _moment_symbols(coef, dc, (tv - s)[:, None])[0]          # R^(t - s)
-        f_s = torus_field(sym_s, grid)
-        f_r = torus_field(sym_r, grid)
-        gh = torus_symbols(f_s * f_r, grid).real                          # g^, h^
+    def node_sum(s, w):
+        sym = _moment_symbols(coef, dc, s[:, None])[0]          # (R1^, R2^)(s)
+        f = torus_field(sym, grid)
+        sym_r, f_r = _mirror_nodes(sym, 1), _mirror_nodes(f, 1)  # at t - s
+        gh = torus_symbols(f[0] * f_r, grid).real                # g^, h^
         part = np.stack([gh[0] * sym_r[0], gh[0] * sym_r[1], gh[1] * sym_r[1]])
-        mass = max(np.abs(f_s[..., shell]).sum(axis=-1).max(),
-                   np.abs(f_r[..., shell]).sum(axis=-1).max())
+        mass = np.abs(f[..., shell]).sum(axis=-1).max()
         return law.beta2 * np.tensordot(part, w, axes=([1], [0])), float(mass)
 
     out = []
     for tv in times:
         pair, mass, converged = _doubling_quadrature(
-            tv, np.zeros((3, grid.n_points)), partial(node_sum, tv),
+            tv, np.zeros((3, grid.n_points)), node_sum,
             lambda sym: torus_field(sym, grid)[window])
         r1, r2 = torus_field(_moment_symbols(coef, dc, tv)[0], grid)[window]
         r11, r12, r22 = torus_field(pair, grid)[window]

@@ -192,12 +192,39 @@ class ThetaGrid:
         return self.nodes_per_axis ** self.dim
 
 
+def _grid_symbol(kernel: JumpKernel, grid: ThetaGrid) -> np.ndarray:
+    """ahat over every node of ``grid``, flat in ``grid.points`` order.
+
+    The weights sit in a table over the distinct values of each offset
+    coordinate, and e^{i theta . v} factors into per-axis phases
+    e^{i theta_k v_k}, so one tensordot per axis contracts the table onto
+    the grid.  The symmetric kernel makes the sum real up to round-off.
+    """
+    axes = [np.unique(kernel.offsets[:, k], return_inverse=True)
+            for k in range(kernel.dim)]
+    table = np.zeros(tuple(len(vals) for vals, _ in axes), dtype=complex)
+    table[tuple(inv for _, inv in axes)] = kernel.weights
+    for vals, _ in axes:
+        # tensordot appends the new grid axis, so after d passes the axes
+        # are (theta_1, ..., theta_d)
+        phase = np.exp(1j * np.outer(grid.axis_nodes, vals))
+        table = np.tensordot(table, phase, axes=([0], [1]))
+    return table.real.ravel() - 1.0
+
+
 def fourier_symbol(kernel: JumpKernel, theta) -> np.ndarray | float:
     """Symbol ahat(theta) = sum_v a(v) cos(theta . v) - 1.
 
     ``theta`` has shape (..., d) (or scalar for d = 1); the result drops the
-    last axis.  Always real by symmetry, with ahat(0) = 0 and ahat <= 0.
+    last axis.  ``theta`` may also be a ``ThetaGrid``: the symbol is then
+    evaluated by per-axis phase tables and returned flat in ``grid.points``
+    order.  Always real by symmetry, with ahat(0) = 0 and ahat <= 0.
     """
+    if isinstance(theta, ThetaGrid):
+        if theta.dim != kernel.dim:
+            raise ValueError(
+                f"grid has dimension {theta.dim}, kernel has dimension {kernel.dim}")
+        return _grid_symbol(kernel, theta)
     th = np.asarray(theta, dtype=np.float64)
     scalar_1d = kernel.dim == 1 and (th.ndim == 0 or th.shape[-1:] != (1,))
     if scalar_1d:
@@ -219,7 +246,7 @@ def transition_profile(kernel: JumpKernel, kappa: float, t: float,
     if grid.dim != kernel.dim:
         raise ValueError("grid dimension does not match kernel dimension")
     pts = grid.points
-    damp = np.exp(kappa * fourier_symbol(kernel, pts) * t)
+    damp = np.exp(kappa * fourier_symbol(kernel, grid) * t)
     disp = np.atleast_2d(np.asarray(displacements, dtype=np.float64))
     vals = np.empty(disp.shape[0])
     for lo in range(0, disp.shape[0], 512):  # bound the phase-matrix footprint

@@ -13,7 +13,11 @@ here as the transform of the pointwise product of box fields (the two are
 equal up to the shared truncation error, at O(S) cost per time node).  The
 integrand is smooth in s, so the time integral uses Gauss-Legendre nodes,
 doubling their number until two successive fields agree
-(``_doubling_quadrature``, shared with the epidemic pair route).
+(``_doubling_quadrature``, shared with the epidemic pair route).  The nodes
+on [0, t] are mirrored, s_{n-1-k} = t - s_k, and each block of nodes holds
+whole pairs, so U(t - s) at a node is U(s) at its mirror: every symbol is
+evaluated once per node.  Symbols over the whole grid come from per-axis
+phase tables (``lattice.fourier_symbol`` on a ``ThetaGrid``).
 ``torus_field`` and ``torus_symbols`` transform between the grid symbols and
 fields on the whole torus window [-M/2, M/2)^d by FFT, with no box.
 
@@ -34,7 +38,6 @@ distinct (t, x) are safe, and each oracle integration owns its state.
 
 from __future__ import annotations
 
-import gc
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
@@ -43,7 +46,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .branching import DerivedConstants, ThetaCoefficients, TwoTypeModel, \
     theta_coefficients
@@ -233,8 +236,12 @@ def fundamental_solution(a, d, b: float, c: float, t) -> np.ndarray:
     return u
 
 
-def first_moment_symbols(model: TwoTypeModel, t, theta_points: np.ndarray) -> np.ndarray:
+def first_moment_symbols(model: TwoTypeModel, t,
+                         theta_points: np.ndarray | ThetaGrid) -> np.ndarray:
     """Fourier transforms mhat^(1)_{ij}(t, theta, 0), shape (2, 2) + broadcast.
+
+    ``theta_points`` is an array of points or a ``ThetaGrid``, whose nodes
+    are then taken flat in ``grid.points`` order (``fourier_symbol``).
 
     A conversion rate r is already in b and r1, so the epidemic law is the
     c = 0 case: m_11 = R1 and m_12 = R2 of the infected/immune model.
@@ -331,7 +338,7 @@ def _first_moment_box(model: TwoTypeModel, t: float, tr: BoxTransform) -> np.nda
     """m^(1)_{ij}(t, x, 0) over the transform's box, shape (2, 2) + box."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    return _clip_roundoff(tr.to_box(first_moment_symbols(model, t, tr.grid.points)))
+    return _clip_roundoff(tr.to_box(first_moment_symbols(model, t, tr.grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +398,24 @@ def _solve_chained(rhs, y0: np.ndarray, times: list[float],
     """The state at each of the increasing ``times``, starting from y0 at 0.
 
     Solves run endpoint to endpoint: dense-output interpolation at interior
-    t_eval points costs an order of accuracy, endpoints do not.
+    t_eval points costs an order of accuracy, endpoints do not.  Each
+    segment steps a DOP853 solver to its end, as ``solve_ivp`` would, but
+    keeps no step history.
     """
     states, state, reached = [], y0, 0.0
     for tv in times:
         if tv > reached:
-            res = solve_ivp(rhs, (reached, tv), state, method="DOP853",
-                            rtol=ODE_RTOL, atol=ODE_ATOL, max_step=min(tv, max_step))
-            if not res.success:
-                raise RuntimeError(f"box integration failed: {res.message}")
-            state, reached = res.y[:, -1].copy(), tv
-            # free the step history in res.y and the solver's stage arrays
-            # before the next segment: the solver sits in a reference cycle
-            # (its ``fun`` closes over it), which refcounting never frees
-            del res
-            gc.collect()
+            solver = DOP853(rhs, reached, state, tv, rtol=ODE_RTOL, atol=ODE_ATOL,
+                            max_step=min(tv, max_step))
+            while solver.status == "running":
+                message = solver.step()
+            if solver.status == "failed":
+                raise RuntimeError(f"box integration failed: {message}")
+            state, reached = solver.y, tv
+            # ``fun`` and ``fun_vectorized`` are closures over the solver;
+            # dropping them breaks its reference cycle, so refcounting frees
+            # the solver's stage arrays before the next segment
+            solver.fun = solver.fun_vectorized = None
         states.append(state)
     return states
 
@@ -500,24 +510,43 @@ def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
 # second moments, Fourier/Duhamel route
 # ---------------------------------------------------------------------------
 
+def _mirror_nodes(block: np.ndarray, axis: int) -> np.ndarray:
+    """A node block's values at the mirror nodes: the block reversed (a view).
+
+    ``_doubling_quadrature`` places node n - 1 - k, whose time is t - s_k,
+    at the reversed position of node k, so a quantity at t - s is the same
+    quantity at s read backwards along the node axis.
+    """
+    return np.flip(block, axis=axis)
+
+
 def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
                          ) -> tuple[np.ndarray, float, bool]:
     """init + int_0^t f(s) ds by Gauss-Legendre nodes, doubled until converged.
 
-    ``node_sum(s, w)`` takes one block of at most QUAD_BLOCK nodes and
-    weights and returns (sum_k w_k f(s_k), mass), where mass is a
-    per-node defect; the result carries the worst mass of the last rule.
-    The node count doubles from QUAD_START_NODES until ``view`` of the
-    results of n and 2n nodes differ by less than QUAD_TOL relative to the
-    field scale.  If QUAD_MAX_NODES is reached first, the last result is
-    returned with converged False.
+    Gauss-Legendre nodes on [0, t] are mirrored, s_{n-1-k} = t - s_k, so the
+    rule is handed out in blocks of node pairs: ``node_sum(s, w)`` takes a
+    block of at most QUAD_BLOCK nodes and weights whose first half holds
+    nodes k and whose second half holds their mirrors n - 1 - k in reverse
+    order, so position j of a block of B nodes mirrors position B - 1 - j
+    (``_mirror_nodes``).  A rule of up to QUAD_BLOCK nodes is one block in
+    its natural order.  It returns (sum_k w_k f(s_k), mass), where mass is
+    a per-node defect; the result carries the worst mass of the last rule.
+    The node count, which must be even, doubles from QUAD_START_NODES until
+    ``view`` of the results of n and 2n nodes differ by less than QUAD_TOL
+    relative to the field scale.  If QUAD_MAX_NODES is reached first, the
+    last result is returned with converged False.
     """
     def rule(n_nodes):
+        if n_nodes % 2:
+            raise ValueError(f"node pairs need an even node count, got {n_nodes}")
         x, w = leggauss(n_nodes)
         s_nodes, w = 0.5 * t * (x + 1.0), 0.5 * t * w
         acc, mass = init.copy(), 0.0
-        for lo in range(0, n_nodes, QUAD_BLOCK):
-            part, blk_mass = node_sum(s_nodes[lo:lo + QUAD_BLOCK], w[lo:lo + QUAD_BLOCK])
+        for lo in range(0, n_nodes // 2, QUAD_BLOCK // 2):
+            hi = min(lo + QUAD_BLOCK // 2, n_nodes // 2)
+            blk = np.r_[lo:hi, n_nodes - hi:n_nodes - lo]
+            part, blk_mass = node_sum(s_nodes[blk], w[blk])
             acc += part
             mass = max(mass, blk_mass)
         return acc, mass
@@ -534,14 +563,15 @@ def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
     return value, mass, False
 
 
-def _duhamel_nodes(model: TwoTypeModel, t: float, tr: BoxTransform,
+def _duhamel_nodes(model: TwoTypeModel, tr: BoxTransform,
                    coef: ThetaCoefficients, coef0: ThetaCoefficients,
                    s_blk: np.ndarray, w_blk: np.ndarray) -> tuple[np.ndarray, float]:
-    """Weighted Duhamel integrand U(t - s) f(s) over one block of time nodes,
+    """Weighted Duhamel integrand U(t - s) f(s) over one block of node pairs,
     and the worst box-mass defect of its convolution inputs.
 
     ``coef`` holds the drift coefficients on the grid points and ``coef0``
-    those at theta = 0, computed once per second-moment call.
+    those at theta = 0, computed once per second-moment call.  U(s) is the
+    first-moment symbol, and U(t - s) is U at the mirror nodes.
     """
     dc = model.derived
     dens = dc.factorial_density
@@ -553,13 +583,14 @@ def _duhamel_nodes(model: TwoTypeModel, t: float, tr: BoxTransform,
     sym0 = _moment_symbols(coef0, dc, s_blk[:, None])
     defect = float(np.abs(tot - sym0[..., 0]).max())
     prod = np.stack([m1[0] * m1[0], m1[1] * m1[1], m1[0] * m1[1]])
-    fhat = np.empty((2, 2, len(s_blk), tr.grid.n_points), dtype=complex)
+    fhat = np.zeros((2, 2, len(s_blk), tr.grid.n_points), dtype=complex)
     for i in range(2):
+        if not dens[i].any():        # type i never branches: no source
+            continue
         comb = (dens[i, 0, 0] * prod[0] + dens[i, 1, 1] * prod[1]
                 + 2.0 * dens[i, 0, 1] * prod[2])
         fhat[i] = tr.to_theta(comb.reshape((2, len(s_blk)) + box_shape))
-    u = fundamental_solution(coef.a, coef.d, dc.b, dc.c,
-                             (t - s_blk)[:, None])                 # (2, 2, B, N)
+    u = _mirror_nodes(sym1, axis=2)                                # U(t - s)
     part = np.empty((2, 2, tr.grid.n_points), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -577,13 +608,13 @@ def _second_moment_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    coef = theta_coefficients(model, grid.points)
+    coef = theta_coefficients(model, grid)
     dc = model.derived
     if t == 0.0:
         return _moment_symbols(coef, dc, 0.0).astype(complex), 0.0, True
     coef0 = theta_coefficients(model, np.zeros((1, model.dim)))
     init = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t).astype(complex)
-    return _doubling_quadrature(t, init, partial(_duhamel_nodes, model, t, tr, coef, coef0),
+    return _doubling_quadrature(t, init, partial(_duhamel_nodes, model, tr, coef, coef0),
                                 tr.to_box)
 
 

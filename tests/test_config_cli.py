@@ -10,6 +10,7 @@ from brw2 import simulate
 from brw2.cli import main
 from brw2.config import (PRESET_NAMES, ConfigError, config_hash, parse_config, preset,
                          serialize_config)
+from brw2.moments import BOUNDARY_TOL
 from brw2.simulate import run, snapshot
 
 MINIMAL = """
@@ -199,11 +200,19 @@ class TestCli:
         assert rc == 0
         lines = (out / "moments.csv").read_text().strip().splitlines()
         assert lines[0].startswith("t,x1,m11_1,m12_1,m21_1,m22_1,m11_2")
-        assert "parity_1" in lines[0] and "boundary_mass" in lines[0]
+        # the trust columns come last, so readers of the older columns still work
+        assert lines[0].endswith(",m22_2,boundary_mass,parity_1,parity_2,"
+                                 "converged,degraded")
         assert len(lines) == 1 + 21   # box radius 10 -> 21 sites
-        # parity column stays tiny
+        col = {h: k for k, h in enumerate(lines[0].split(","))}
         for line in lines[1:]:
-            assert float(line.split(",")[-2]) < 1e-5
+            row = line.split(",")
+            assert float(row[col["parity_1"]]) < 1e-5   # parity column stays tiny
+            assert row[col["converged"]] == "1"
+            # box 10 is tight for the range-3 type-2 walk: its boundary mass
+            # flags every time
+            flagged = float(row[col["boundary_mass"]]) > BOUNDARY_TOL
+            assert flagged and row[col["degraded"]] == "1"
 
     def test_epidemic_command(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

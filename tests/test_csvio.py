@@ -195,12 +195,12 @@ GOLDEN = {
             "f3474698e0820424e4602faeaccaa87eb2e0fcc440a0e776a422df4a1b60a5f4"}),
     "moments": (["--config", MOMENTS_D1], {
         "moments.csv":
-            "e4257b5adcbbb920f674b91edc34945ceace5638ee23586acc0fc3d7a0b9cb81"}),
+            "7766141706e56c2f639705590f753ad872e06ad68e46505c6d62097ecc998c53"}),
     "epidemic": (["--preset", "fig-z2", "--t", "1", "--box", "6"], {
         "epidemic.csv":
-            "d3cb575acbe2ce0f1b1d44511d6c4dac1a260d0d7ce13759ff22e9e92e39f235",
+            "ac6b55e42e0952121590c05448b41d9bb78288850f21bbe542db55e8833eb74a",
         "corr.csv":
-            "cf34112bcb440d193699e4429f1153b0aad55b8b60de942c5c577f67343595b5"}),
+            "737c4c931a9a0ae469e8e02d97f0f47327a934a5e014faa9deaab05f805d0d5d"}),
     "cells": (["--config", CELLS_D2], {
         "cells.csv":
             "12f2b395d7c674a855b8cc9c98bb09acf7892fc61e993dcd41cdfc2c3cacdeb5"}),

@@ -48,6 +48,25 @@ class TestFourierSymbol:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             fourier_symbol(simple_kernel(2), np.array([0.1]))
+        with pytest.raises(ValueError):
+            fourier_symbol(simple_kernel(2), ThetaGrid.for_dim(1, 8))
+
+    @pytest.mark.parametrize("kernel, nodes", [
+        (simple_kernel(1), 256),
+        (simple_kernel(2), 64),
+        (simple_kernel(3), 16),
+        (uniform_range_kernel(2, 4), 128),     # fig-z2's 80-offset kernel
+        (uniform_range_kernel(1, 3), 64),
+        (uniform_range_kernel(3, 1), 16),
+        # support not a full box: unit steps plus one long diagonal pair
+        (JumpKernel(2, {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
+                        (3, -2): 0.5, (-3, 2): 0.5}), 32),
+    ])
+    def test_grid_symbol_matches_point_evaluation(self, kernel, nodes):
+        grid = ThetaGrid.for_dim(kernel.dim, nodes)
+        vals = fourier_symbol(kernel, grid)
+        assert vals.shape == (grid.n_points,)
+        npt.assert_allclose(vals, fourier_symbol(kernel, grid.points), rtol=0, atol=1e-15)
 
     def test_nonpositive_and_vanishing_only_at_origin(self, grid1):
         k = uniform_range_kernel(1, 2)

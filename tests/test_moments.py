@@ -1,8 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import DOP853
 from scipy.linalg import expm
 
 from brw2 import moments
@@ -384,3 +388,83 @@ class TestQuadratureCap:
         fld = correlation_ode(law, k, 1.0, k, 1.0, 5.0, 4)
         assert not fld.converged
         assert fld.degraded
+
+
+class TestNodePairs:
+    @staticmethod
+    def _paired_sum(t, n_nodes, monkeypatch, integrand):
+        """The n-node paired rule alone (start = cap), checking the block
+        contract on the way: at most QUAD_BLOCK nodes, each node's mirror
+        t - s at the reversed position."""
+        monkeypatch.setattr(moments, "QUAD_START_NODES", n_nodes)
+        monkeypatch.setattr(moments, "QUAD_MAX_NODES", n_nodes)
+        seen = []
+
+        def node_sum(s, w):
+            assert len(s) <= moments.QUAD_BLOCK and len(s) % 2 == 0
+            npt.assert_allclose(s[::-1], t - s, rtol=0, atol=4 * np.spacing(t))
+            seen.extend(s)
+            return np.array([w @ integrand(s)]), 0.0
+
+        value, _, _ = moments._doubling_quadrature(t, np.zeros(1), node_sum, lambda v: v)
+        assert len(set(seen)) == n_nodes
+        return value[0]
+
+    @pytest.mark.parametrize("n_nodes", [16, 64, 128])
+    def test_paired_rule_is_the_plain_gauss_legendre_sum(self, n_nodes, monkeypatch):
+        # int_0^t e^{-s} cos 3s ds, and a convolution e^{-s} e^{-2(t - s)}
+        # whose t - s factor is read off the mirror nodes
+        t = 3.0
+        x, w = leggauss(n_nodes)
+        s, w = 0.5 * t * (x + 1.0), 0.5 * t * w
+        plain = w @ (np.exp(-s) * np.cos(3 * s))
+        paired = self._paired_sum(t, n_nodes, monkeypatch,
+                                  lambda s: np.exp(-s) * np.cos(3 * s))
+        assert abs(paired - plain) <= 1e-14
+        exact = (math.exp(-t) * (3 * math.sin(3 * t) - math.cos(3 * t)) + 1) / 10
+        assert abs(paired - exact) <= 1e-12
+        plain = w @ (np.exp(-s) * np.exp(-2 * (t - s)))
+        paired = self._paired_sum(
+            t, n_nodes, monkeypatch,
+            lambda s: np.exp(-s) * moments._mirror_nodes(np.exp(-2 * s), axis=0))
+        assert abs(paired - plain) <= 1e-14
+        assert abs(paired - (math.exp(-t) - math.exp(-2 * t))) <= 1e-12
+
+    @pytest.mark.parametrize("start", [64, 128])
+    def test_pairs_spanning_blocks_agree_with_the_default_start(self, start, monkeypatch):
+        # at 64 and 128 nodes the pairs fill several blocks of QUAD_BLOCK
+        model = model_case("b+c+")
+        ref = second_moment_field(model, 2.0, 30)
+        monkeypatch.setattr(moments, "QUAD_START_NODES", start)
+        fld = second_moment_field(model, 2.0, 30)
+        assert fld.converged and ref.converged
+        scale = 1.0 + np.abs(ref.values).max()
+        assert np.abs(fld.values - ref.values).max() <= moments.QUAD_TOL * scale
+
+    def test_odd_node_count_is_refused(self, monkeypatch):
+        monkeypatch.setattr(moments, "QUAD_START_NODES", 15)
+        with pytest.raises(ValueError, match="even"):
+            moments._doubling_quadrature(1.0, np.zeros(1),
+                                         lambda s, w: (np.zeros(1), 0.0), lambda v: v)
+
+
+def test_solve_chained_leaves_no_solver_alive(monkeypatch):
+    # with the collector off, only refcounting can free a segment's solver
+    made = []
+
+    class Probe(DOP853):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(moments, "DOP853", Probe)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        states = moments._solve_chained(lambda _s, y: -y, np.ones(3), [0.5, 1.0], 4.0)
+        alive = [ref() is not None for ref in made]
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert alive == [False, False]
+    npt.assert_allclose(states[-1], math.exp(-1.0), rtol=1e-6)
