@@ -129,11 +129,21 @@ def command_simulate(cfg: RunConfig) -> int:
     return 0 if len(failures) < exp.replicas else 1
 
 
+def _require_box_fits(grid, box_radius: int) -> None:
+    """Refuse, before any work or output, a box the grid cannot transform:
+    the Fourier route's box transform needs nodes_per_axis > 4 box_radius."""
+    if grid.nodes_per_axis <= 4 * box_radius:
+        raise ConfigError("experiment.box_radius",
+                          f"must be below a quarter of the {grid.nodes_per_axis} "
+                          f"theta nodes per axis; got {box_radius}")
+
+
 def command_moments(cfg: RunConfig) -> int:
     model = cfg.build_model()
     exp = cfg.experiment
     out = Path(exp.out_dir)
     grid = cfg.build_grid()
+    _require_box_fits(grid, exp.box_radius)
     times = sorted(set(exp.t_list))
     ode1 = first_moment_ode_oracle(model, times, exp.box_radius)
     ode2 = second_moment_ode_oracle(model, times, exp.box_radius)
@@ -229,6 +239,7 @@ def command_epidemic(cfg: RunConfig) -> int:
         raise ConfigError("experiment.corr_box_radius",
                           f"must be at most a quarter of the {grid.nodes_per_axis} "
                           f"theta nodes per axis; got {exp.corr_box_radius}")
+    _require_box_fits(grid, exp.box_radius)
     k1, k2 = cfg.build_kernel(1), cfg.build_kernel(2)
     sites = box_sites(exp.box_radius, cfg.dim)
     parts = []

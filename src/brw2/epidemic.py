@@ -265,7 +265,8 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     spines", Ann. IHP 2017).  R1^ and R2^ are the generic engine's
     first-moment symbols; fields and products live on the theta grid's
     torus window (``moments.torus_field``), and the time integral is the
-    engine's Gauss-Legendre doubling loop.  Its nodes come in mirrored
+    engine's Gauss-Legendre doubling loop, which accepts a rule when its
+    own Legendre tail is small.  Its nodes come in mirrored
     pairs, so each node's symbols and fields are computed once and serve
     as the t - s values of its mirror.  ``box_radius`` is only the
     output window and needs box_radius <= M/4 (``max_pair_window``).
@@ -291,14 +292,16 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     shell = (np.abs(np.indices((m,) * dim) - m // 2) >= 3 * m / 8).any(axis=0)
     window = (Ellipsis,) + (slice(m // 2 - box_radius, m // 2 + box_radius + 1),) * dim
 
-    def node_sum(s, w):
+    def node_sum(s, weights):
         sym = _moment_symbols(coef, dc, s[:, None])[0]          # (R1^, R2^)(s)
         f = torus_field(sym, grid)
         sym_r, f_r = _mirror_nodes(sym, 1), _mirror_nodes(f, 1)  # at t - s
         gh = torus_symbols(f[0] * f_r, grid).real                # g^, h^
         part = np.stack([gh[0] * sym_r[0], gh[0] * sym_r[1], gh[1] * sym_r[1]])
         mass = np.abs(f[..., shell]).sum(axis=-1).max()
-        return law.beta2 * np.tensordot(part, w, axes=([1], [0])), float(mass)
+        value = np.tensordot(part, weights[:, 0], axes=([1], [0]))
+        tails = np.tensordot(weights[:, 1:], part, axes=([0], [1]))
+        return law.beta2 * np.concatenate([value[None], tails]), float(mass)
 
     out = []
     for tv in times:

@@ -12,11 +12,12 @@ where the source f is a theta-convolution of first-moment symbols, computed
 here as the transform of the pointwise product of box fields (the two are
 equal up to the shared truncation error, at O(S) cost per time node).  The
 integrand is smooth in s, so the time integral uses Gauss-Legendre nodes,
-doubling their number until two successive fields agree
-(``_doubling_quadrature``, shared with the epidemic pair route).  The nodes
-on [0, t] are mirrored, s_{n-1-k} = t - s_k, and each block of nodes holds
-whole pairs, so U(t - s) at a node is U(s) at its mirror: every symbol is
-evaluated once per node.  Symbols over the whole grid come from per-axis
+doubling their number until a rule's own Legendre tail, its top two
+discrete Legendre coefficients, is below tolerance (``_doubling_quadrature``,
+shared with the epidemic pair route); no rule is computed only to be
+compared with the next.  The nodes on [0, t] are mirrored, s_{n-1-k} =
+t - s_k, and each block of nodes holds whole pairs, so U(t - s) at a node
+is U(s) at its mirror: every symbol is evaluated once per node.  Symbols over the whole grid come from per-axis
 phase tables (``lattice.fourier_symbol`` on a ``ThetaGrid``).
 ``torus_field`` and ``torus_symbols`` transform between the grid symbols and
 fields on the whole torus window [-M/2, M/2)^d by FFT, with no box.
@@ -45,7 +46,7 @@ from functools import partial
 import numpy as np
 import scipy.fft
 import scipy.sparse
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.integrate import DOP853
 
 from .branching import DerivedConstants, ThetaCoefficients, TwoTypeModel, \
@@ -72,7 +73,7 @@ ODE_RTOL = 1e-7
 ODE_ATOL = 1e-9
 BOUNDARY_TOL = 1e-6
 QUAD_TOL = 1e-8
-QUAD_START_NODES = 16
+QUAD_START_NODES = 32
 QUAD_MAX_NODES = 512
 QUAD_BLOCK = 48          # time nodes evaluated at once, bounding memory
 
@@ -526,48 +527,68 @@ def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
 
     Gauss-Legendre nodes on [0, t] are mirrored, s_{n-1-k} = t - s_k, so the
     rule is handed out in blocks of node pairs: ``node_sum(s, w)`` takes a
-    block of at most QUAD_BLOCK nodes and weights whose first half holds
-    nodes k and whose second half holds their mirrors n - 1 - k in reverse
-    order, so position j of a block of B nodes mirrors position B - 1 - j
-    (``_mirror_nodes``).  A rule of up to QUAD_BLOCK nodes is one block in
-    its natural order.  It returns (sum_k w_k f(s_k), mass), where mass is
-    a per-node defect; the result carries the worst mass of the last rule.
-    The node count, which must be even, doubles from QUAD_START_NODES until
-    ``view`` of the results of n and 2n nodes differ by less than QUAD_TOL
-    relative to the field scale.  If QUAD_MAX_NODES is reached first, the
-    last result is returned with converged False.
+    block of at most QUAD_BLOCK nodes and a (B, 3) weight matrix whose first
+    half of rows holds nodes k and whose second half holds their mirrors
+    n - 1 - k in reverse order, so position j of a block of B nodes mirrors
+    position B - 1 - j (``_mirror_nodes``).  A rule of up to QUAD_BLOCK
+    nodes is one block in its natural order.  The weight columns are w,
+    w P_{n-2}(x) and w P_{n-1}(x), with x the node on [-1, 1]; ``node_sum``
+    returns the three sums sum_k W[k, c] f(s_k), stacked on a leading axis
+    in column order, and a per-node defect (mass).  The result carries the
+    worst mass of the last rule.
+
+    An n-node rule is accepted on its own Legendre tail: (2k + 1) times
+    the k-th sum is t |a_k|, with a_k the integrand's discrete Legendre
+    coefficient, and the rule passes when the larger of the top two, k =
+    n - 2 and n - 1, taken through the linear ``view``, is at most
+    QUAD_TOL relative to the field scale 1 + max |view(result)|.  The node
+    count, which must be even, doubles from QUAD_START_NODES until a rule
+    passes; if none has by QUAD_MAX_NODES, the last result is returned
+    with converged False.
+
+    Blind spots: an integrand that oscillates at about the node spacing,
+    such as cos 20(s - t/2) e^{-(s - t/2)^2 / 2} at t = 20 or 50, can alias
+    into a small tail and pass (128 and 256 nodes, errors 8.9e-6 and 2.2),
+    where comparing two rules would not.  A feature narrower than the node
+    spacing, such as a bump of width 0.05 at s = 0.6 t for t = 20, can fall
+    between the nodes of every rule; comparing rules misses it as well.
+    The moment integrands cannot do either: kernels are symmetric and b,
+    c >= 0, so every symbol has real eigenvalues and each integrand is a
+    sum of real exponentials in s.
     """
     def rule(n_nodes):
         if n_nodes % 2:
             raise ValueError(f"node pairs need an even node count, got {n_nodes}")
         x, w = leggauss(n_nodes)
-        s_nodes, w = 0.5 * t * (x + 1.0), 0.5 * t * w
-        acc, mass = init.copy(), 0.0
+        tail = legvander(x, n_nodes - 1)[:, -2:]
+        s_nodes = 0.5 * t * (x + 1.0)
+        weights = 0.5 * t * np.column_stack([w, w[:, None] * tail])
+        acc, tails, mass = init.copy(), 0.0, 0.0
         for lo in range(0, n_nodes // 2, QUAD_BLOCK // 2):
             hi = min(lo + QUAD_BLOCK // 2, n_nodes // 2)
             blk = np.r_[lo:hi, n_nodes - hi:n_nodes - lo]
-            part, blk_mass = node_sum(s_nodes[blk], w[blk])
-            acc += part
+            part, blk_mass = node_sum(s_nodes[blk], weights[blk])
+            acc += part[0]
+            tails = tails + part[1:]
             mass = max(mass, blk_mass)
-        return acc, mass
+        order = np.array([2 * n_nodes - 3, 2 * n_nodes - 1])      # 2k + 1
+        err = (order * np.abs(view(tails)).reshape(2, -1).max(axis=1)).max()
+        return acc, mass, bool(err <= QUAD_TOL * (1.0 + np.abs(view(acc)).max()))
 
     nodes = QUAD_START_NODES
-    value, mass = rule(nodes)
-    cur = view(value)
-    while 2 * nodes <= QUAD_MAX_NODES:
+    value, mass, converged = rule(nodes)
+    while not converged and 2 * nodes <= QUAD_MAX_NODES:
         nodes *= 2
-        value, mass = rule(nodes)
-        prev, cur = cur, view(value)
-        if np.abs(cur - prev).max() <= QUAD_TOL * (1.0 + np.abs(cur).max()):
-            return value, mass, True
-    return value, mass, False
+        value, mass, converged = rule(nodes)
+    return value, mass, converged
 
 
 def _duhamel_nodes(model: TwoTypeModel, tr: BoxTransform,
                    coef: ThetaCoefficients, coef0: ThetaCoefficients,
                    s_blk: np.ndarray, w_blk: np.ndarray) -> tuple[np.ndarray, float]:
     """Weighted Duhamel integrand U(t - s) f(s) over one block of node pairs,
-    and the worst box-mass defect of its convolution inputs.
+    summed against each column of the (B, 3) weights ``w_blk``, and the
+    worst box-mass defect of its convolution inputs.
 
     ``coef`` holds the drift coefficients on the grid points and ``coef0``
     those at theta = 0, computed once per second-moment call.  U(s) is the
@@ -591,11 +612,13 @@ def _duhamel_nodes(model: TwoTypeModel, tr: BoxTransform,
                 + 2.0 * dens[i, 0, 1] * prod[2])
         fhat[i] = tr.to_theta(comb.reshape((2, len(s_blk)) + box_shape))
     u = _mirror_nodes(sym1, axis=2)                                # U(t - s)
-    part = np.empty((2, 2, tr.grid.n_points), dtype=complex)
+    w, tail_w = w_blk[:, 0], w_blk[:, 1:]
+    part = np.empty((3, 2, 2, tr.grid.n_points), dtype=complex)
     for i in range(2):
         for j in range(2):
             contrib = u[i, 0] * fhat[0, j] + u[i, 1] * fhat[1, j]
-            part[i, j] = np.tensordot(w_blk, contrib, axes=([0], [0]))
+            part[0, i, j] = np.tensordot(w, contrib, axes=([0], [0]))
+            part[1:, i, j] = np.tensordot(tail_w, contrib, axes=([0], [0]))
     return part, defect
 
 
@@ -622,9 +645,10 @@ def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,
                         grid: ThetaGrid | None = None) -> MomentField:
     """Fourier/Duhamel second-moment field over the box.
 
-    The time integral uses Gauss-Legendre nodes, doubled until successive
-    fields agree (``_second_moment_symbols``); a field whose quadrature hit
-    the node cap has ``converged`` False and ``degraded`` True.
+    The time integral uses Gauss-Legendre nodes, doubled until a rule's
+    Legendre tail is below tolerance (``_doubling_quadrature``); a field
+    whose quadrature hit the node cap has ``converged`` False and
+    ``degraded`` True.
     """
     grid = grid or ThetaGrid.for_dim(model.dim)
     tr = BoxTransform(grid, box_radius)

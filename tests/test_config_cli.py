@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from brw2 import simulate
+from brw2 import cli, simulate
 from brw2.cli import main
 from brw2.config import (PRESET_NAMES, ConfigError, config_hash, parse_config, preset,
                          serialize_config)
@@ -281,6 +281,29 @@ experiment:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "config" and err["path"] == "experiment.corr_box_radius"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, work", [
+        # d = 1 takes 256 theta nodes per axis and d = 2 takes 128
+        (["moments", "--config", "perfbench/configs/moments-d1.yaml", "--box", "64"],
+         ("first_moment_ode_oracle", "second_moment_ode_oracle",
+          "first_moment_field", "second_moment_field")),
+        (["epidemic", "--preset", "fig-z2", "--box", "32"],
+         ("epidemic_first_moment_profiles", "epidemic_m2", "correlation_ode")),
+    ])
+    def test_box_past_a_quarter_grid_is_refused_before_any_work(
+            self, argv, work, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in work:
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        argv = [str(Path(__file__).parents[1] / a) if a.endswith(".yaml") else a
+                for a in argv]
+        out = tmp_path / "out"
+        rc = self._run([*argv, "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "config" and err["path"] == "experiment.box_radius"
+        assert not out.exists()
+        assert calls == []
 
     def test_non_finite_time_flag_exits_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "epi"

@@ -1,16 +1,18 @@
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.integrate import DOP853
 from scipy.linalg import expm
 
 from brw2 import moments
 from brw2.branching import BranchingLaw, TwoTypeModel
+from brw2.config import parse_config, preset
 from brw2.epidemic import EpidemicLaw, epidemic_first_moment_profiles, epidemic_m2
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
@@ -373,38 +375,43 @@ class TestQuadratureCap:
     def test_cap_without_convergence_is_loud(self, monkeypatch):
         monkeypatch.setattr(moments, "QUAD_MAX_NODES", moments.QUAD_START_NODES)
         model = model_case("b+c+")
-        fld = second_moment_field(model, 5.0, 30)
+        fld = second_moment_field(model, 20.0, 30)
         assert not fld.converged
         assert fld.degraded
         law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
                           conversion_rate=0.2)
-        assert epidemic_m2(law, simple_kernel(1), 1.0, 5.0, 0, 0).degraded
+        assert epidemic_m2(law, simple_kernel(1), 1.0, 20.0, 0, 0).degraded
 
     def test_pair_route_shares_the_cap(self, monkeypatch):
         monkeypatch.setattr(moments, "QUAD_MAX_NODES", moments.QUAD_START_NODES)
         law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
                           conversion_rate=0.2)
         k = simple_kernel(1)
-        fld = correlation_ode(law, k, 1.0, k, 1.0, 5.0, 4)
+        fld = correlation_ode(law, k, 1.0, k, 1.0, 20.0, 4)
         assert not fld.converged
         assert fld.degraded
 
 
 class TestNodePairs:
     @staticmethod
-    def _paired_sum(t, n_nodes, monkeypatch, integrand):
+    def _paired_sum(t, n_nodes, monkeypatch, integrand, tails=None):
         """The n-node paired rule alone (start = cap), checking the block
         contract on the way: at most QUAD_BLOCK nodes, each node's mirror
-        t - s at the reversed position."""
+        t - s at the reversed position, one (B, 3) weight row per node.
+        Each block's two tail sums are appended to ``tails`` if given."""
         monkeypatch.setattr(moments, "QUAD_START_NODES", n_nodes)
         monkeypatch.setattr(moments, "QUAD_MAX_NODES", n_nodes)
         seen = []
 
         def node_sum(s, w):
             assert len(s) <= moments.QUAD_BLOCK and len(s) % 2 == 0
+            assert w.shape == (len(s), 3)
             npt.assert_allclose(s[::-1], t - s, rtol=0, atol=4 * np.spacing(t))
             seen.extend(s)
-            return np.array([w @ integrand(s)]), 0.0
+            sums = w.T @ integrand(s)
+            if tails is not None:
+                tails.append(sums[1:])
+            return sums[:, None], 0.0
 
         value, _, _ = moments._doubling_quadrature(t, np.zeros(1), node_sum, lambda v: v)
         assert len(set(seen)) == n_nodes
@@ -430,6 +437,23 @@ class TestNodePairs:
         assert abs(paired - plain) <= 1e-14
         assert abs(paired - (math.exp(-t) - math.exp(-2 * t))) <= 1e-12
 
+    @pytest.mark.parametrize("n_nodes", [64, 128])
+    def test_tail_columns_are_the_plain_legendre_sums(self, n_nodes, monkeypatch):
+        # pairs span several blocks, so each tail weight must travel with its
+        # node; the integrand has every Legendre coefficient up to n - 1, the
+        # top two of both parities, so a weight on the wrong node shows
+        t = 3.0
+        coeffs = 1.0 / (1.0 + np.arange(n_nodes))
+        tails = []
+        self._paired_sum(t, n_nodes, monkeypatch,
+                         lambda s: legval(2.0 * s / t - 1.0, coeffs), tails)
+        x, w = leggauss(n_nodes)
+        plain = (0.5 * t * w * legval(x, coeffs)) @ legvander(x, n_nodes - 1)[:, -2:]
+        npt.assert_allclose(np.sum(tails, axis=0), plain, rtol=0, atol=1e-14)
+        # Gauss exactness: sum_j w_j P_k(x_j) f = t c_k / (2k + 1)
+        k = np.arange(n_nodes - 2, n_nodes)
+        npt.assert_allclose(plain, t * coeffs[k] / (2 * k + 1), rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("start", [64, 128])
     def test_pairs_spanning_blocks_agree_with_the_default_start(self, start, monkeypatch):
         # at 64 and 128 nodes the pairs fill several blocks of QUAD_BLOCK
@@ -445,7 +469,90 @@ class TestNodePairs:
         monkeypatch.setattr(moments, "QUAD_START_NODES", 15)
         with pytest.raises(ValueError, match="even"):
             moments._doubling_quadrature(1.0, np.zeros(1),
-                                         lambda s, w: (np.zeros(1), 0.0), lambda v: v)
+                                         lambda s, w: (np.zeros((3, 1)), 0.0), lambda v: v)
+
+
+def _exponentials(t):
+    # real exponentials, growing and decaying, with mixed signs: the shape of
+    # every moment integrand
+    for lams, cs in (((-3.0, 0.2), (1.0, -1.0)), ((1.0, -0.5), (-2.0, 3.0)),
+                     ((0.0, -1.0, -4.0), (1.0, -2.0, 1.5)), ((0.3,), (1.0,)),
+                     ((-2.0,), (1.0,)), ((-6.0, 0.1), (2.0, -1.0))):
+        yield (lambda s, lams=lams, cs=cs: sum(c * np.exp(lam * s)
+                                                for lam, c in zip(lams, cs)),
+               sum(c * (t if lam == 0.0 else math.expm1(lam * t) / lam)
+                   for lam, c in zip(lams, cs)))
+
+
+def _runge(t):
+    for c in (1.0, 5.0, 25.0, 100.0):
+        yield (lambda s, c=c: 1.0 / (1.0 + c * c * (s / t - 0.37) ** 2),
+               t / c * (math.atan(0.63 * c) + math.atan(0.37 * c)))
+
+
+def _bumps(t):
+    # off-centre Gaussians of width sigma = rel * t; a bump much narrower than
+    # the 32-node spacing can fall between the nodes (see
+    # ``_doubling_quadrature``), so the narrowest here is t / 100
+    for mu, rel in ((0.3, 0.15), (0.8, 0.05), (0.1, 0.03), (0.6, 0.02), (0.45, 0.01)):
+        m, sig = mu * t, rel * t
+        yield (lambda s, m=m, sig=sig: np.exp(-(s - m) ** 2 / (2.0 * sig * sig)),
+               sig * math.sqrt(math.pi / 2.0)
+               * (math.erf((t - m) / (sig * math.sqrt(2.0)))
+                  + math.erf(m / (sig * math.sqrt(2.0)))))
+
+
+class TestQuadratureEstimate:
+    @staticmethod
+    def _integrate(t, integrand, monkeypatch):
+        """(value, converged, node counts asked of leggauss) for a scalar
+        integrand on [0, t]."""
+        calls = []
+        monkeypatch.setattr(moments, "leggauss", lambda n: calls.append(n) or leggauss(n))
+        value, _, converged = moments._doubling_quadrature(
+            t, np.zeros(1), lambda s, w: ((w.T @ integrand(s))[:, None], 0.0),
+            lambda v: v)
+        return value[0], converged, calls
+
+    @pytest.mark.parametrize("family", [_exponentials, _runge, _bumps])
+    @pytest.mark.parametrize("t", [0.5, 2.0, 5.0, 20.0, 50.0])
+    def test_converged_means_within_tolerance(self, family, t, monkeypatch):
+        accepted = 0
+        for integrand, exact in family(t):
+            value, converged, _ = self._integrate(t, integrand, monkeypatch)
+            if converged:
+                accepted += 1
+                assert abs(value - exact) <= moments.QUAD_TOL * (1.0 + abs(value))
+        assert accepted
+
+    def test_unresolved_integrand_doubles_to_64_nodes(self, monkeypatch):
+        # e^{-6s} on [0, 20]: the 32-node tail is 4.2e-3 against a tolerance
+        # of 1.2e-8, the 64-node tail 1.1e-12
+        value, converged, calls = self._integrate(20.0, lambda s: np.exp(-6.0 * s),
+                                                  monkeypatch)
+        assert calls == [32, 64] and converged
+        assert abs(value - math.expm1(-120.0) / -6.0) <= moments.QUAD_TOL
+
+    def test_field_routes_build_one_rule(self, monkeypatch):
+        # each integral stops at its first rule: leggauss is called once
+        calls = []
+        monkeypatch.setattr(moments, "leggauss", lambda n: calls.append(n) or leggauss(n))
+        cfg = parse_config(
+            (Path(__file__).parents[1] / "perfbench/configs/moments-d1.yaml").read_text())
+        fld = second_moment_field(cfg.build_model(), 5.0, cfg.experiment.box_radius,
+                                  cfg.build_grid())
+        assert calls == [32] and fld.converged
+        z2 = preset("fig-z2")
+        law, grid = z2.build_epidemic_law(), z2.build_grid()
+        k1, k2 = z2.build_kernel(1), z2.build_kernel(2)
+        calls.clear()
+        m2 = epidemic_m2(law, k1, z2.kappa1, 4.0, (0, 0), (0, 0), grid,
+                         z2.experiment.box_radius)
+        assert calls == [32] and np.isfinite(m2.value)
+        calls.clear()
+        pair = correlation_ode(law, k1, z2.kappa1, k2, z2.kappa2, 4.0,
+                               z2.experiment.corr_box_radius, grid=grid)
+        assert calls == [32] and pair.converged
 
 
 def test_solve_chained_leaves_no_solver_alive(monkeypatch):
