@@ -30,9 +30,9 @@ from .config import ConfigError, RunConfig, config_hash, parse_config, preset, \
     PRESET_NAMES
 from .csvio import Table, write_csv, write_manifest
 from .epidemic import M1_FLOOR, correlation_ode, epidemic_first_moment_profiles, \
-    epidemic_m2, max_pair_window
+    epidemic_m2
 from .moments import (box_sites, first_moment_field, first_moment_ode_oracle,
-                      second_moment_field, second_moment_ode_oracle)
+                      max_pair_window, second_moment_field, second_moment_ode_oracle)
 from .simulate import FATE_BRANCHED, FATE_JUMPED, FATE_NAMES, SimulationRun, \
     map_replicas, snapshot
 
@@ -129,13 +129,15 @@ def command_simulate(cfg: RunConfig) -> int:
     return 0 if len(failures) < exp.replicas else 1
 
 
-def _require_box_fits(grid, box_radius: int) -> None:
-    """Refuse, before any work or output, a box the grid cannot transform:
-    the Fourier route's box transform needs nodes_per_axis > 4 box_radius."""
-    if grid.nodes_per_axis <= 4 * box_radius:
-        raise ConfigError("experiment.box_radius",
-                          f"must be below a quarter of the {grid.nodes_per_axis} "
-                          f"theta nodes per axis; got {box_radius}")
+def _require_windows_fit(grid, exp, keys) -> None:
+    """Refuse, before any work or output, an output window the torus cannot
+    hold: each radius in ``keys`` must be at most ``max_pair_window``."""
+    for key in keys:
+        radius = getattr(exp, key)
+        if radius > max_pair_window(grid.nodes_per_axis):
+            raise ConfigError(f"experiment.{key}",
+                              f"must be at most a quarter of the {grid.nodes_per_axis} "
+                              f"theta nodes per axis; got {radius}")
 
 
 def command_moments(cfg: RunConfig) -> int:
@@ -143,7 +145,7 @@ def command_moments(cfg: RunConfig) -> int:
     exp = cfg.experiment
     out = Path(exp.out_dir)
     grid = cfg.build_grid()
-    _require_box_fits(grid, exp.box_radius)
+    _require_windows_fit(grid, exp, ("box_radius",))
     times = sorted(set(exp.t_list))
     ode1 = first_moment_ode_oracle(model, times, exp.box_radius)
     ode2 = second_moment_ode_oracle(model, times, exp.box_radius)
@@ -157,8 +159,9 @@ def command_moments(cfg: RunConfig) -> int:
         flat2o = o2.values.reshape(2, 2, -1)
         par1 = np.abs(flat1f - flat1o).max(axis=(0, 1))
         par2 = (np.abs(flat2f - flat2o) / (1e-8 + np.abs(flat2o))).max(axis=(0, 1))
-        bmass = max(o1.boundary_mass, o2.boundary_mass, f2.boundary_mass)
-        degraded = o1.degraded or o2.degraded or f2.degraded
+        bmass = max(o1.boundary_mass, o2.boundary_mass, f1.boundary_mass,
+                    f2.boundary_mass)
+        degraded = o1.degraded or o2.degraded or f1.degraded or f2.degraded
         parts.append(_table(len(par1), t, *f1.sites.T,
                             flat1f[0, 0], flat1f[0, 1], flat1f[1, 0], flat1f[1, 1],
                             flat2f[0, 0], flat2f[0, 1], flat2f[1, 0], flat2f[1, 1],
@@ -234,20 +237,14 @@ def command_epidemic(cfg: RunConfig) -> int:
     exp = cfg.experiment
     out = Path(exp.out_dir)
     grid = cfg.build_grid()
-    if exp.corr_box_radius > max_pair_window(grid.nodes_per_axis):
-        # refuse before any output: the pair route's window must fit the torus
-        raise ConfigError("experiment.corr_box_radius",
-                          f"must be at most a quarter of the {grid.nodes_per_axis} "
-                          f"theta nodes per axis; got {exp.corr_box_radius}")
-    _require_box_fits(grid, exp.box_radius)
+    _require_windows_fit(grid, exp, ("corr_box_radius", "box_radius"))
     k1, k2 = cfg.build_kernel(1), cfg.build_kernel(2)
     sites = box_sites(exp.box_radius, cfg.dim)
     parts = []
     for t in sorted(set(exp.t_list)):
         r1, r2 = epidemic_first_moment_profiles(law, k1, cfg.kappa1, k2, cfg.kappa2,
                                                 t, exp.box_radius, grid)
-        m2 = epidemic_m2(law, k1, cfg.kappa1, t, (0,) * cfg.dim, (0,) * cfg.dim,
-                         grid, exp.box_radius)
+        m2 = epidemic_m2(law, k1, cfg.kappa1, t, (0,) * cfg.dim, (0,) * cfg.dim, grid)
         m1_diag = float(r1[(exp.box_radius,) * cfg.dim])
         ratio = m2.value / m1_diag ** 2 if m1_diag > M1_FLOOR else float("nan")
         parts.append(_table(len(sites), t, *sites.T, r1.reshape(-1), r2.reshape(-1),

@@ -37,11 +37,11 @@ import numpy as np
 
 from .branching import BranchingLaw, TwoTypeModel, theta_coefficients
 from .lattice import JumpKernel, ThetaGrid
-from .moments import (BOUNDARY_TOL, BoxTransform, _as_times, _doubling_quadrature,
-                      _first_moment_box, _mirror_nodes, _moment_symbols, _phase_sum,
-                      _second_moment_symbols, _solve_chained, box_sites,
-                      build_box_generator, first_moment_symbols, torus_field,
-                      torus_symbols)
+from .moments import (BOUNDARY_TOL, _as_times, _clip_roundoff, _doubling_quadrature,
+                      _first_moment_torus, _mirror_nodes, _moment_symbols, _phase_sum,
+                      _second_moment_symbols, _shell_mass, _solve_chained, _torus_shell,
+                      _window, box_sites, build_box_generator, first_moment_symbols,
+                      max_pair_window, torus_field, torus_symbols)
 
 __all__ = [
     "EpidemicLaw",
@@ -118,16 +118,19 @@ def epidemic_first_moment_profiles(law: EpidemicLaw, kernel1: JumpKernel,
                                    kappa1: float, kernel2: JumpKernel, kappa2: float,
                                    t: float, box_radius: int,
                                    grid: ThetaGrid | None = None):
-    """(R1, R2) fields over the box, started from one infected at the origin.
+    """(R1, R2) fields on the output window |x_k| <= box_radius, started from
+    one infected at the origin.
 
     R1 = m_11 and R2 = m_12 of the generic engine: R1hat = e^{pt} and
     R2hat = r (e^{pt} - e^{qt}) / (p - q) with p = kappa1 ahat1 + A and
-    q = kappa2 ahat2 - mu2.
+    q = kappa2 ahat2 - mu2.  The window is cut from the torus fields and
+    may reach ``max_pair_window``.
     """
     model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
     grid = grid or ThetaGrid.for_dim(model.dim)
-    m1 = _first_moment_box(model, t, BoxTransform(grid, box_radius))
-    return m1[0, 0], m1[0, 1]
+    window = _window(grid, box_radius)
+    m1 = _clip_roundoff(_first_moment_torus(model, t, grid)[0][window])
+    return m1[0], m1[1]
 
 
 class M2Value(NamedTuple):
@@ -137,23 +140,22 @@ class M2Value(NamedTuple):
 
 
 def epidemic_m2(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t: float,
-                x, y, grid: ThetaGrid | None = None, box_radius: int = 30) -> M2Value:
+                x, y, grid: ThetaGrid | None = None) -> M2Value:
     """M2(t, x, y) = m^(2)_11(t, y - x) of the generic Duhamel route.
 
     Immune particles never infect, so the type-2 walk does not enter m_11
     and kernel1 stands in for it.  The symbol is summed against the cosine
-    phase of u = y - x, so u may lie outside the box, which only truncates
-    the squared first-moment profile inside the time integral.
-    ``boundary_mass`` is the worst box-mass defect of that profile over the
-    time nodes; ``degraded`` also flags a quadrature that hit its node cap.
+    phase of u = y - x, so u need not lie in any window; the quadrature's
+    tail test reads the whole torus field.  ``boundary_mass`` is the worst
+    torus-shell mass of the first-moment fields over the time nodes;
+    ``degraded`` also flags a quadrature that hit its node cap.
     """
     model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
     grid = grid or ThetaGrid.for_dim(model.dim)
-    sym2, defect, converged = _second_moment_symbols(model, t, grid,
-                                                     BoxTransform(grid, box_radius))
+    sym2, mass, converged = _second_moment_symbols(model, t, grid)
     u = np.asarray(_vec(y), dtype=np.float64) - np.asarray(_vec(x), dtype=np.float64)
-    return M2Value(value=float(_phase_sum(sym2[0, 0], grid, u)), boundary_mass=defect,
-                   degraded=defect > BOUNDARY_TOL or not converged)
+    return M2Value(value=float(_phase_sum(sym2[0, 0], grid, u)), boundary_mass=mass,
+                   degraded=mass > BOUNDARY_TOL or not converged)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class RatioPoint:
 
 def intermittency_ratio(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
                         t_list, x, y, grid: ThetaGrid | None = None,
-                        box_radius: int = 30, regime_c: float = 2.0) -> list[RatioPoint]:
+                        regime_c: float = 2.0) -> list[RatioPoint]:
     """Pointwise M2 / M1^2 along ``t_list``.
 
     Each point records whether |x - y| <= regime_c * sqrt(t); M1 underflow
@@ -180,7 +182,7 @@ def intermittency_ratio(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
     out = []
     for t in sorted(float(v) for v in t_list):
-        m2 = epidemic_m2(law, kernel1, kappa1, t, x, y, g, box_radius)
+        m2 = epidemic_m2(law, kernel1, kappa1, t, x, y, g)
         m1 = float(_phase_sum(first_moment_symbols(model, t, g)[0, 0], g, u))
         in_regime = dist <= regime_c * math.sqrt(t) if t > 0 else True
         if m1 <= M1_FLOOR:
@@ -236,18 +238,6 @@ class PairSlices:
         return float(getattr(self, name)[_flat_index(u, self.box_radius)])
 
 
-def max_pair_window(nodes_per_axis: int) -> int:
-    """Largest output radius of ``correlation_ode`` on M nodes per axis: M // 4.
-
-    The pair symbols are cyclic convolutions on the torus, so a term g(w)
-    R(u - w) with |u - w| >= M/2 lands on the window wrapped by M.  With
-    |u| <= M/4 such a pair has |w| + |u - w - M| >= 3M/4 in the wrapped
-    coordinate, so one factor sits on the 3M/8 shell that ``boundary_mass``
-    measures; past M/4 both can sit inside it, unmeasured.
-    """
-    return nodes_per_axis // 4
-
-
 def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
                     kernel2: JumpKernel, kappa2: float, t, box_radius: int,
                     boundary_tol: float = BOUNDARY_TOL, grid: ThetaGrid | None = None):
@@ -283,14 +273,10 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     times, scalar = _as_times(t)
     model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
     grid = grid or ThetaGrid.for_dim(model.dim)
-    m, dim = grid.nodes_per_axis, model.dim
-    if box_radius > max_pair_window(m):
-        raise ValueError(f"output window of radius {box_radius} needs at least "
-                         f"{4 * box_radius} grid nodes per axis, got {m}")
+    window = _window(grid, box_radius)
     dc = model.derived
     coef = theta_coefficients(model, grid)
-    shell = (np.abs(np.indices((m,) * dim) - m // 2) >= 3 * m / 8).any(axis=0)
-    window = (Ellipsis,) + (slice(m // 2 - box_radius, m // 2 + box_radius + 1),) * dim
+    shell = _torus_shell(grid)
 
     def node_sum(s, weights):
         sym = _moment_symbols(coef, dc, s[:, None])[0]          # (R1^, R2^)(s)
@@ -298,10 +284,10 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
         sym_r, f_r = _mirror_nodes(sym, 1), _mirror_nodes(f, 1)  # at t - s
         gh = torus_symbols(f[0] * f_r, grid).real                # g^, h^
         part = np.stack([gh[0] * sym_r[0], gh[0] * sym_r[1], gh[1] * sym_r[1]])
-        mass = np.abs(f[..., shell]).sum(axis=-1).max()
+        mass = _shell_mass(f, shell)
         value = np.tensordot(part, weights[:, 0], axes=([1], [0]))
         tails = np.tensordot(weights[:, 1:], part, axes=([0], [1]))
-        return law.beta2 * np.concatenate([value[None], tails]), float(mass)
+        return law.beta2 * np.concatenate([value[None], tails]), mass
 
     out = []
     for tv in times:
@@ -310,11 +296,11 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
             lambda sym: torus_field(sym, grid)[window])
         r1, r2 = torus_field(_moment_symbols(coef, dc, tv)[0], grid)[window]
         r11, r12, r22 = torus_field(pair, grid)[window]
-        origin = (box_radius,) * dim
+        origin = (box_radius,) * model.dim
         r11[origin] += r1[origin]
         r22[origin] += r2[origin]
         out.append(PairSlices(
-            t=tv, box_radius=box_radius, dim=dim,
+            t=tv, box_radius=box_radius, dim=model.dim,
             r1=r1.ravel(), r2=r2.ravel(), r11=r11.ravel(), r12=r12.ravel(),
             r22=r22.ravel(), boundary_mass=mass, converged=converged,
             degraded=mass > boundary_tol or not converged))

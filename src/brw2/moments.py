@@ -9,18 +9,24 @@ second moments follow from Duhamel's formula
     mhat2(t) = U(t) mhat2(0) + int_0^t U(t - s) f(s) ds,
 
 where the source f is a theta-convolution of first-moment symbols, computed
-here as the transform of the pointwise product of box fields (the two are
-equal up to the shared truncation error, at O(S) cost per time node).  The
-integrand is smooth in s, so the time integral uses Gauss-Legendre nodes,
-doubling their number until a rule's own Legendre tail, its top two
-discrete Legendre coefficients, is below tolerance (``_doubling_quadrature``,
-shared with the epidemic pair route); no rule is computed only to be
-compared with the next.  The nodes on [0, t] are mirrored, s_{n-1-k} =
-t - s_k, and each block of nodes holds whole pairs, so U(t - s) at a node
-is U(s) at its mirror: every symbol is evaluated once per node.  Symbols over the whole grid come from per-axis
+here as the transform of the pointwise product of first-moment fields (the
+two are equal up to the shared truncation error, at O(N log N) cost per
+time node).  Symbols and fields meet in one transform: ``torus_field`` and
+``torus_symbols`` map between the symbols on the M^d theta grid and fields
+on the whole torus window [-M/2, M/2)^d by FFT, with no box.  A field's
+box radius is only an output window cut from the torus, at most M/4
+(``max_pair_window``), and its one truncation defect is the first-moment
+fields' mass on the torus's outer shell (``_shell_mass``).  Kernels are
+symmetric, so every symbol and field is real, and two real fields share
+one complex FFT (``_pack``).  The integrand is smooth in s, so the time
+integral uses Gauss-Legendre nodes, doubling their number until a rule's
+own Legendre tail, its top two discrete Legendre coefficients, is below
+tolerance (``_doubling_quadrature``, shared with the epidemic pair route);
+no rule is computed only to be compared with the next.  The nodes on
+[0, t] are mirrored, s_{n-1-k} = t - s_k, and each block of nodes holds
+whole pairs, so U(t - s) at a node is U(s) at its mirror: every symbol is
+evaluated once per node.  Symbols over the whole grid come from per-axis
 phase tables (``lattice.fourier_symbol`` on a ``ThetaGrid``).
-``torus_field`` and ``torus_symbols`` transform between the grid symbols and
-fields on the whole torus window [-M/2, M/2)^d by FFT, with no box.
 
 Type conversion (the infected/immune epidemic) is part of the branching
 law's derived constants, so the epidemic module reads its moments off this
@@ -55,9 +61,9 @@ from .lattice import JumpKernel, ThetaGrid, gamma_constant
 
 __all__ = [
     "MomentField",
-    "BoxTransform",
     "torus_field",
     "torus_symbols",
+    "max_pair_window",
     "box_sites",
     "build_box_generator",
     "fundamental_solution",
@@ -79,17 +85,13 @@ QUAD_BLOCK = 48          # time nodes evaluated at once, bounding memory
 
 
 # ---------------------------------------------------------------------------
-# box geometry and transforms
+# box geometry and the torus transforms
 # ---------------------------------------------------------------------------
 
 def box_sites(box_radius: int, dim: int) -> np.ndarray:
     """All lattice sites with sup-norm <= box_radius, shape (S, d), row-major."""
     rng = range(-box_radius, box_radius + 1)
     return np.array(list(itertools.product(rng, repeat=dim)), dtype=np.int64)
-
-
-def _box_shape(box_radius: int, dim: int) -> tuple[int, ...]:
-    return (2 * box_radius + 1,) * dim
 
 
 def _clip_roundoff(values: np.ndarray, band: float = 1e-8) -> np.ndarray:
@@ -101,119 +103,118 @@ def _clip_roundoff(values: np.ndarray, band: float = 1e-8) -> np.ndarray:
     return np.where((values < 0.0) & (values > -band), 0.0, values)
 
 
-class BoxTransform:
-    """Exact lattice <-> theta-grid transforms for fields on a box.
-
-    With M midpoint nodes per axis and box radius L the grid inverts the
-    finite transform exactly (up to round-off) as long as M > 4L, because
-    the first aliasing image of any box site lies a full period M away.
-    """
-
-    def __init__(self, grid: ThetaGrid, box_radius: int):
-        if grid.nodes_per_axis <= 4 * box_radius:
-            raise ValueError(
-                f"grid with {grid.nodes_per_axis} nodes/axis cannot resolve a box of "
-                f"radius {box_radius}; need nodes_per_axis > {4 * box_radius}")
-        self.grid = grid
-        self.box_radius = box_radius
-        self.dim = grid.dim
-        xs = np.arange(-box_radius, box_radius + 1, dtype=np.float64)
-        # E[k, i] = exp(1j * theta_k * x_i), one axis
-        self._fwd = np.exp(1j * np.outer(grid.axis_nodes, xs))
-        self._inv = self._fwd.conj() / grid.nodes_per_axis   # (M, S), used transposed
-
-    def _apply(self, arr: np.ndarray, mat: np.ndarray) -> np.ndarray:
-        # contract the trailing `dim` axes one at a time; tensordot appends
-        # the new axis at the end, so after d passes the order is restored
-        for _ in range(self.dim):
-            arr = np.tensordot(arr, mat, axes=([arr.ndim - self.dim], [1]))
-        return arr
-
-    def to_theta(self, box_field: np.ndarray) -> np.ndarray:
-        """Forward transform; trailing box axes -> one flattened theta axis."""
-        out = self._apply(np.asarray(box_field, dtype=complex), self._fwd)
-        return out.reshape(out.shape[:out.ndim - self.dim] + (-1,))
-
-    def to_box(self, symbols: np.ndarray) -> np.ndarray:
-        """Inverse transform; flattened theta axis -> trailing box axes (real part)."""
-        arr = np.asarray(symbols, dtype=complex)
-        m = self.grid.nodes_per_axis
-        arr = arr.reshape(arr.shape[:-1] + (m,) * self.dim)
-        return self._apply(arr, self._inv.T).real
-
-
-def _window_twiddle(grid: ThetaGrid, sign: int) -> np.ndarray:
-    """e^{sign i (pi - pi/M) x} over the window [-M/2, M/2)^d in FFT order
-    (x mod M), shape (M,)*d."""
+def _torus_phases(grid: ThetaGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The two phase tables of the torus transforms, each shape (M,)*d: the
+    sign (-1)^{k_1 + ... + k_d} over theta indices, and the twiddle
+    e^{i (pi - pi/M) (x_1 + ... + x_d)} over window sites, in window order."""
     m = grid.nodes_per_axis
-    x = np.arange(-m // 2, m // 2)
-    axis = scipy.fft.ifftshift(np.exp(sign * 1j * (np.pi - np.pi / m) * x))
-    out = axis
+    sign_axis = (-1.0) ** np.arange(m)
+    twiddle_axis = np.exp(1j * (np.pi - np.pi / m) * np.arange(-m // 2, m // 2))
+    sign, twiddle = sign_axis, twiddle_axis
     for _ in range(grid.dim - 1):
-        out = np.multiply.outer(out, axis)
-    return out
+        sign = np.multiply.outer(sign, sign_axis)
+        twiddle = np.multiply.outer(twiddle, twiddle_axis)
+    return sign, twiddle
 
 
 def torus_field(symbols: np.ndarray, grid: ThetaGrid) -> np.ndarray:
-    """Inverse transform onto the torus window [-M/2, M/2)^d by FFT (real part).
+    """Inverse transform onto the torus window [-M/2, M/2)^d by FFT.
 
-    The midpoint nodes theta_k = -pi + (k + 1/2) 2 pi / M give
-    e^{-i theta_k x} = e^{i (pi - pi/M) x} e^{-2 pi i k x / M}, so the field
-    is fftn of the symbols times that twiddle over M^d.  The flattened theta
-    axis becomes trailing (M,)*d axes, window index x + M/2.  Each value
-    carries the anti-periodic images f(x + nM) (-1)^n: the error is the
-    field's mass beyond the window.
+    The midpoint nodes theta_k = -pi + (k + 1/2) 2 pi / M give, at window
+    index j = x + M/2, e^{-i theta_k x} = e^{i (pi - pi/M) x} (-1)^k
+    e^{-2 pi i k j / M}: the field is the fftn of the signed symbols times
+    that twiddle, over M^d, with no shift of either array.  The flattened
+    theta axis becomes trailing (M,)*d axes, window index x + M/2.  Each
+    value carries the anti-periodic images f(x + nM) (-1)^n: the error is
+    the field's mass beyond the window.
+
+    Kernels are symmetric, so a real symbol has a real field: real symbols
+    give the (real) field, and the transform is linear, so complex symbols
+    a + ib give field_a + i field_b, two real fields for one FFT (``_pack``).
     """
     m, dim = grid.nodes_per_axis, grid.dim
-    axes = tuple(range(-dim, 0))
-    arr = np.reshape(symbols, np.shape(symbols)[:-1] + (m,) * dim)
-    out = scipy.fft.fftn(arr, axes=axes, norm="forward") * _window_twiddle(grid, 1)
-    return scipy.fft.fftshift(out.real, axes=axes)
+    sign, twiddle = _torus_phases(grid)
+    arr = np.reshape(symbols, np.shape(symbols)[:-1] + (m,) * dim) * sign
+    out = scipy.fft.fftn(arr, axes=tuple(range(-dim, 0)), norm="forward",
+                         overwrite_x=True)
+    out *= twiddle
+    return out if np.iscomplexobj(symbols) else out.real
 
 
 def torus_symbols(field_: np.ndarray, grid: ThetaGrid) -> np.ndarray:
     """Forward transform of a torus-window field: the inverse of ``torus_field``.
 
     Trailing (M,)*d window axes become one flattened theta axis (complex).
+    A symmetric real field has a real symbol, so a packed field f_a + i f_b
+    of two such fields gives their symbols as the real and imaginary parts.
     """
     dim = grid.dim
-    axes = tuple(range(-dim, 0))
-    arr = scipy.fft.ifftshift(field_, axes=axes) * _window_twiddle(grid, -1)
-    out = scipy.fft.ifftn(arr, axes=axes, norm="forward")
+    sign, twiddle = _torus_phases(grid)
+    out = scipy.fft.ifftn(field_ * twiddle.conj(), axes=tuple(range(-dim, 0)),
+                          norm="forward", overwrite_x=True)
+    out *= sign
     return out.reshape(out.shape[:out.ndim - dim] + (-1,))
+
+
+def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im as one complex array: two real symbols or fields for one FFT."""
+    out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def max_pair_window(nodes_per_axis: int) -> int:
+    """Largest output radius of the torus routes on M nodes per axis: M // 4.
+
+    Products of torus fields are cyclic convolutions, so a term g(w)
+    R(u - w) with |u - w| >= M/2 lands on the window wrapped by M.  With
+    |u| <= M/4 such a pair has |w| + |u - w - M| >= 3M/4 in the wrapped
+    coordinate, so one factor sits on the 3M/8 shell that ``_shell_mass``
+    measures; past M/4 both can sit inside it, unmeasured.
+    """
+    return nodes_per_axis // 4
+
+
+def _window(grid: ThetaGrid, box_radius: int) -> tuple:
+    """Index of the output window |x_k| <= box_radius in a torus field's
+    trailing axes; a radius past ``max_pair_window`` raises ValueError."""
+    m = grid.nodes_per_axis
+    if box_radius > max_pair_window(m):
+        raise ValueError(f"output window of radius {box_radius} needs at least "
+                         f"{4 * box_radius} grid nodes per axis, got {m}")
+    return (Ellipsis,) + (slice(m // 2 - box_radius, m // 2 + box_radius + 1),) * grid.dim
+
+
+def _torus_shell(grid: ThetaGrid) -> np.ndarray:
+    """Mask of the torus window's outer shell, the sites with some |x_k| >= 3M/8."""
+    m = grid.nodes_per_axis
+    return (np.abs(np.indices((m,) * grid.dim) - m // 2) >= 3 * m / 8).any(axis=0)
+
+
+def _shell_mass(fields: np.ndarray, shell: np.ndarray) -> float:
+    """Largest mass on the ``shell`` over torus fields, the one truncation
+    defect of the Fourier routes; a packed field counts as its two fields."""
+    parts = (fields.real, fields.imag) if np.iscomplexobj(fields) else (fields,)
+    axes = tuple(range(-shell.ndim, 0))
+    return max(float(np.abs(p).sum(axis=axes, where=shell).max()) for p in parts)
 
 
 # ---------------------------------------------------------------------------
 # fundamental solution of the 2x2 Fourier-space system
 # ---------------------------------------------------------------------------
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1) / z, extended analytically through z = 0."""
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-6
-    zs = z[small]
-    out[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
-    zb = z[~small]
-    out[~small] = np.expm1(zb) / zb
-    return out
-
-
 def _exp_diff_quotient(p, q, t) -> np.ndarray:
-    """(e^{pt} - e^{qt}) / (p - q), continuous through p = q (value t e^{pt}).
+    """(e^{pt} - e^{qt}) / (p - q) for t >= 0, continuous through p = q
+    (value t e^{pt}).
 
-    Evaluated as t e^{qt} phi1((p - q) t) to avoid cancellation; for large
-    positive (p - q) t the two-exponential form is used instead so the
-    intermediate e^{(p-q)t} cannot overflow while the result is finite.
+    Evaluated as t e^{max(p, q) t} (1 - e^{-z}) / z with z = |p - q| t, by
+    expm1, so nothing cancels, no intermediate exceeds the larger
+    exponential, and the quotient (1 - e^{-z}) / z takes its limit 1 at z = 0.
     """
-    p, q, t = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (p, q, t)))
-    z = (p - q) * t
-    out = np.empty_like(z)
-    big = z > 30.0
-    if big.any():
-        out[big] = (np.exp(p[big] * t[big]) - np.exp(q[big] * t[big])) / (p[big] - q[big])
-    rest = ~big
-    out[rest] = t[rest] * np.exp(q[rest] * t[rest]) * _phi1(z[rest])
-    return out
+    p, q, t = (np.asarray(v, dtype=np.float64) for v in (p, q, t))
+    z = np.abs(p - q) * t
+    ratio = np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0.0)
+    return t * np.exp(np.maximum(p, q) * t) * ratio
 
 
 def fundamental_solution(a, d, b: float, c: float, t) -> np.ndarray:
@@ -289,10 +290,12 @@ class MomentField:
 
     ``values`` has shape (2, 2) + (2L+1,)*d with axes (start type - 1,
     counted type - 1, x + L per coordinate).  ``boundary_mass`` is the total
-    rate-weighted flux killed at the box boundary for oracle fields, and the
-    worst box-mass defect of the convolution inputs for Duhamel fields.
-    ``converged`` is False when the Duhamel time quadrature stopped at its
-    node cap; ``degraded`` is then set as well.
+    rate-weighted flux killed at the box boundary for oracle fields; for
+    Fourier fields, whose box is an output window cut from the torus field,
+    it is the worst torus-shell mass of the first-moment fields they are
+    built from.  ``degraded`` is set when it exceeds BOUNDARY_TOL, and also
+    when the Duhamel time quadrature stopped at its node cap (``converged``
+    False).
     """
 
     t: float
@@ -329,17 +332,25 @@ class MomentField:
 
 def first_moment_field(model: TwoTypeModel, t: float, box_radius: int,
                        grid: ThetaGrid | None = None) -> MomentField:
-    """Fourier-route first-moment field over the whole box."""
+    """Fourier-route first-moment field on the output window |x_k| <= box_radius.
+
+    The window, at most ``max_pair_window`` (ValueError past it), is cut
+    from the torus field; ``boundary_mass`` is that field's shell mass.
+    """
     grid = grid or ThetaGrid.for_dim(model.dim)
-    vals = _first_moment_box(model, t, BoxTransform(grid, box_radius))
-    return MomentField(t=t, box_radius=box_radius, order=1, dim=model.dim, values=vals)
+    window = _window(grid, box_radius)
+    m1 = _first_moment_torus(model, t, grid)
+    mass = _shell_mass(m1, _torus_shell(grid))
+    return MomentField(t=t, box_radius=box_radius, order=1, dim=model.dim,
+                       values=_clip_roundoff(m1[window]), boundary_mass=mass,
+                       degraded=mass > BOUNDARY_TOL)
 
 
-def _first_moment_box(model: TwoTypeModel, t: float, tr: BoxTransform) -> np.ndarray:
-    """m^(1)_{ij}(t, x, 0) over the transform's box, shape (2, 2) + box."""
+def _first_moment_torus(model: TwoTypeModel, t: float, grid: ThetaGrid) -> np.ndarray:
+    """m^(1)_{ij}(t, x, 0) on the torus window, shape (2, 2) + (M,)*d."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    return _clip_roundoff(tr.to_box(first_moment_symbols(model, t, tr.grid)))
+    return torus_field(first_moment_symbols(model, t, grid), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +435,7 @@ def _solve_chained(rhs, y0: np.ndarray, times: list[float],
 def _integrate_fields(model, rhs, y0, times, n, box_radius, n_fields, order,
                       boundary_tol, value_offset=0):
     dim = model.dim
-    shape = (2, 2) + _box_shape(box_radius, dim)
+    shape = (2, 2) + (2 * box_radius + 1,) * dim
     out = []
     for tv, col in zip(times, _solve_chained(rhs, y0, times, 4.0 / _rate_bound(model))):
         vals = _clip_roundoff(col[value_offset:value_offset + 4 * n].reshape(shape).copy())
@@ -583,79 +594,83 @@ def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
     return value, mass, converged
 
 
-def _duhamel_nodes(model: TwoTypeModel, tr: BoxTransform,
-                   coef: ThetaCoefficients, coef0: ThetaCoefficients,
-                   s_blk: np.ndarray, w_blk: np.ndarray) -> tuple[np.ndarray, float]:
+def _duhamel_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoefficients,
+                   shell: np.ndarray, s_blk: np.ndarray,
+                   w_blk: np.ndarray) -> tuple[np.ndarray, float]:
     """Weighted Duhamel integrand U(t - s) f(s) over one block of node pairs,
     summed against each column of the (B, 3) weights ``w_blk``, and the
-    worst box-mass defect of its convolution inputs.
+    worst torus-shell mass of the first-moment fields it is built from.
 
-    ``coef`` holds the drift coefficients on the grid points and ``coef0``
-    those at theta = 0, computed once per second-moment call.  U(s) is the
-    first-moment symbol, and U(t - s) is U at the mirror nodes.
+    ``coef`` holds the drift coefficients on the grid points, computed once
+    per second-moment call.  U(s) is the first-moment symbol, and U(t - s)
+    is U at the mirror nodes.  Every symbol and field is real, so the two
+    counted types travel packed as one complex array, m_k1 + i m_k2
+    (``_pack``), through both FFTs, U(t - s) f and the weighted sums.  The
+    source products are taken on the float view, which multiplies real
+    parts with real parts and imaginary with imaginary, so they come out
+    packed too: f_k1 + i f_k2.
     """
     dc = model.derived
     dens = dc.factorial_density
-    box_shape = _box_shape(tr.box_radius, model.dim)
+    n_blk, n_pts = len(s_blk), grid.n_points
     sym1 = _moment_symbols(coef, dc, s_blk[:, None])               # (2, 2, B, N)
-    m1 = tr.to_box(sym1.astype(complex))
-    m1 = m1.reshape(2, 2, len(s_blk), -1)
-    tot = m1.sum(axis=-1)
-    sym0 = _moment_symbols(coef0, dc, s_blk[:, None])
-    defect = float(np.abs(tot - sym0[..., 0]).max())
-    prod = np.stack([m1[0] * m1[0], m1[1] * m1[1], m1[0] * m1[1]])
-    fhat = np.zeros((2, 2, len(s_blk), tr.grid.n_points), dtype=complex)
-    for i in range(2):
-        if not dens[i].any():        # type i never branches: no source
-            continue
-        comb = (dens[i, 0, 0] * prod[0] + dens[i, 1, 1] * prod[1]
-                + 2.0 * dens[i, 0, 1] * prod[2])
-        fhat[i] = tr.to_theta(comb.reshape((2, len(s_blk)) + box_shape))
+    m1 = torus_field(_pack(sym1[:, 0], sym1[:, 1]), grid)          # (2, B) + (M,)*d
+    mass = _shell_mass(m1, shell)
+    m = m1.view(np.float64)
+    prods = (m[0] * m[0], m[1] * m[1], m[0] * m[1])
+    del m1, m                        # the block's fields, freed before U f is formed
     u = _mirror_nodes(sym1, axis=2)                                # U(t - s)
-    w, tail_w = w_blk[:, 0], w_blk[:, 1:]
-    part = np.empty((3, 2, 2, tr.grid.n_points), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            contrib = u[i, 0] * fhat[0, j] + u[i, 1] * fhat[1, j]
-            part[0, i, j] = np.tensordot(w, contrib, axes=([0], [0]))
-            part[1:, i, j] = np.tensordot(tail_w, contrib, axes=([0], [0]))
-    return part, defect
+    uf = np.zeros((n_blk, 2, n_pts), dtype=complex)                # (U f)_i1 + i (U f)_i2
+    for k in range(2):
+        if not dens[k].any():        # type k never branches: no source
+            continue
+        src = (dens[k, 0, 0] * prods[0] + dens[k, 1, 1] * prods[1]
+               + 2.0 * dens[k, 0, 1] * prods[2])
+        fhat = torus_symbols(src.view(complex), grid)             # (B, N)
+        for i in range(2):
+            uf[:, i] += u[i, k] * fhat
+    part = np.tensordot(w_blk, uf.view(np.float64), axes=([0], [0]))   # (3, 2, 2N)
+    return np.moveaxis(part.reshape(3, 2, n_pts, 2), -1, 2), mass
 
 
 def _second_moment_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
-                           tr: BoxTransform) -> tuple[np.ndarray, float, bool]:
-    """mhat^(2)(t, theta, 0), its box defect, and whether the quadrature converged.
+                           window=Ellipsis) -> tuple[np.ndarray, float, bool]:
+    """mhat^(2)(t, theta, 0), the worst torus-shell mass of the first-moment
+    fields inside the integral, and whether the quadrature converged.
 
     The homogeneous part U(t) applied to the delta initial data plus the
-    Duhamel integral, by ``_doubling_quadrature`` on the box fields.
+    Duhamel integral, by ``_doubling_quadrature`` on the torus fields; its
+    tail test reads the torus field on ``window`` (default: all of it).
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     coef = theta_coefficients(model, grid)
     dc = model.derived
     if t == 0.0:
-        return _moment_symbols(coef, dc, 0.0).astype(complex), 0.0, True
-    coef0 = theta_coefficients(model, np.zeros((1, model.dim)))
-    init = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t).astype(complex)
-    return _doubling_quadrature(t, init, partial(_duhamel_nodes, model, tr, coef, coef0),
-                                tr.to_box)
+        return _moment_symbols(coef, dc, 0.0), 0.0, True
+    init = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t)
+    return _doubling_quadrature(
+        t, init, partial(_duhamel_nodes, model, grid, coef, _torus_shell(grid)),
+        lambda sym: torus_field(sym, grid)[window])
 
 
 def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,
                         grid: ThetaGrid | None = None) -> MomentField:
-    """Fourier/Duhamel second-moment field over the box.
+    """Fourier/Duhamel second-moment field on the output window |x_k| <= box_radius.
 
-    The time integral uses Gauss-Legendre nodes, doubled until a rule's
-    Legendre tail is below tolerance (``_doubling_quadrature``); a field
-    whose quadrature hit the node cap has ``converged`` False and
-    ``degraded`` True.
+    The window, at most ``max_pair_window`` (ValueError past it), is cut
+    from the torus field.  The time integral uses Gauss-Legendre nodes,
+    doubled until a rule's Legendre tail on the window is below tolerance
+    (``_doubling_quadrature``); a field whose quadrature hit the node cap
+    has ``converged`` False and ``degraded`` True, as has one whose
+    first-moment fields carry more than BOUNDARY_TOL on the torus shell.
     """
     grid = grid or ThetaGrid.for_dim(model.dim)
-    tr = BoxTransform(grid, box_radius)
-    sym2, defect, converged = _second_moment_symbols(model, t, grid, tr)
+    window = _window(grid, box_radius)
+    sym2, mass, converged = _second_moment_symbols(model, t, grid, window)
     return MomentField(t=t, box_radius=box_radius, order=2, dim=model.dim,
-                       values=_clip_roundoff(tr.to_box(sym2)), boundary_mass=defect,
-                       degraded=defect > BOUNDARY_TOL or not converged,
+                       values=_clip_roundoff(torus_field(sym2, grid)[window]),
+                       boundary_mass=mass, degraded=mass > BOUNDARY_TOL or not converged,
                        converged=converged)
 
 

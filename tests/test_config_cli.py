@@ -283,11 +283,12 @@ experiment:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, work", [
-        # d = 1 takes 256 theta nodes per axis and d = 2 takes 128
-        (["moments", "--config", "perfbench/configs/moments-d1.yaml", "--box", "64"],
+        # d = 1 takes 256 theta nodes per axis and d = 2 takes 128; a
+        # window of exactly a quarter of them is allowed
+        (["moments", "--config", "perfbench/configs/moments-d1.yaml", "--box", "65"],
          ("first_moment_ode_oracle", "second_moment_ode_oracle",
           "first_moment_field", "second_moment_field")),
-        (["epidemic", "--preset", "fig-z2", "--box", "32"],
+        (["epidemic", "--preset", "fig-z2", "--box", "33"],
          ("epidemic_first_moment_profiles", "epidemic_m2", "correlation_ode")),
     ])
     def test_box_past_a_quarter_grid_is_refused_before_any_work(

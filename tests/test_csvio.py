@@ -195,12 +195,12 @@ GOLDEN = {
             "f3474698e0820424e4602faeaccaa87eb2e0fcc440a0e776a422df4a1b60a5f4"}),
     "moments": (["--config", MOMENTS_D1], {
         "moments.csv":
-            "7766141706e56c2f639705590f753ad872e06ad68e46505c6d62097ecc998c53"}),
+            "6c2d6b3f010b9a867128fb6a68a265bebda49c6c7778d3e265db91886c18b32e"}),
     "epidemic": (["--preset", "fig-z2", "--t", "1", "--box", "6"], {
         "epidemic.csv":
-            "ac6b55e42e0952121590c05448b41d9bb78288850f21bbe542db55e8833eb74a",
+            "e3a9dabe5ccd693731e9c4256e9c7457c910707ac6b075d1da8834900efeea81",
         "corr.csv":
-            "737c4c931a9a0ae469e8e02d97f0f47327a934a5e014faa9deaab05f805d0d5d"}),
+            "032f4610389d71130b24ee443b3fbb5bf09dd3315a836492efc2717bfe7ca791"}),
     "cells": (["--config", CELLS_D2], {
         "cells.csv":
             "12f2b395d7c674a855b8cc9c98bb09acf7892fc61e993dcd41cdfc2c3cacdeb5"}),

@@ -80,7 +80,7 @@ class TestFirstMoments:
                 npt.assert_allclose(r2[x + 2], 0.45 * t * p, rtol=1e-12)
 
     def test_profiles_match_pointwise(self):
-        # the box transform equals the single-site phase sum of the same
+        # the torus window equals the single-site phase sum of the same
         # symbols; the box-ODE route shares only the law and is accurate to
         # its rtol 1e-7
         law = supercritical_law()
@@ -125,7 +125,7 @@ class TestSecondMoment:
             ode = second_moment_ode_oracle(model, t, 30)
             assert ode.boundary_mass < 1e-6
             for x in (0, 1, 2, 5):
-                duh = epidemic_m2(law, K1, 1.0, t, 0, x, box_radius=30)
+                duh = epidemic_m2(law, K1, 1.0, t, 0, x)
                 npt.assert_allclose(duh.value, ode.value(1, 1, x), rtol=1e-4, atol=1e-8)
 
     def test_m2_dominates_m1(self):
@@ -157,8 +157,7 @@ class TestIntermittencyRatio:
 
     def test_supercritical_ratio_bounded(self):
         law = supercritical_law()
-        pts = intermittency_ratio(law, K1, 1.0, [10.0, 20.0, 40.0], 0, 0,
-                                  box_radius=40)
+        pts = intermittency_ratio(law, K1, 1.0, [10.0, 20.0, 40.0], 0, 0)
         ratios = [pt.ratio for pt in pts]
         assert max(ratios) / min(ratios) < 2.0
 
@@ -288,9 +287,9 @@ class TestCorrelations:
         times = [1.0, 4.0]
         fields = correlation_ode(law, k1, 1.0, k2, 1.0, times, 2, grid=grid)
         for fld in fields:
-            m2 = epidemic_m2(law, k1, 1.0, fld.t, (0, 0), (0, 0), grid, 15)
+            m2 = epidemic_m2(law, k1, 1.0, fld.t, (0, 0), (0, 0), grid)
             npt.assert_allclose(fld.value("r11", (0, 0)), m2.value, rtol=1e-10)
-            assert not fld.degraded
+            assert not fld.degraded and not m2.degraded
 
     def test_coarse_torus_reports_degraded(self):
         # fig-z2 at t = 4 spreads well past a 16-node torus's shell

@@ -17,11 +17,11 @@ from brw2.epidemic import EpidemicLaw, epidemic_first_moment_profiles, epidemic_
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
 from brw2.epidemic import correlation_ode
-from brw2.moments import (BoxTransform, box_sites, first_moment_asymptote,
-                          first_moment_field, first_moment_ode_oracle,
-                          first_moment_symbols, fundamental_solution,
-                          second_moment_field, second_moment_ode_oracle,
-                          torus_field, torus_symbols)
+from brw2.moments import (BOUNDARY_TOL, _pack, _phase_sum, _window, box_sites,
+                          first_moment_asymptote, first_moment_field,
+                          first_moment_ode_oracle, first_moment_symbols,
+                          fundamental_solution, max_pair_window, second_moment_field,
+                          second_moment_ode_oracle, torus_field, torus_symbols)
 
 
 def model_case(name: str) -> TwoTypeModel:
@@ -273,32 +273,6 @@ class TestAsymptote:
             first_moment_asymptote(model, 10.0)
 
 
-class TestBoxTransform:
-    def test_round_trip_exact(self):
-        grid = ThetaGrid.for_dim(1)
-        tr = BoxTransform(grid, 30)
-        rng = np.random.default_rng(1)
-        f = rng.normal(size=61)
-        back = tr.to_box(tr.to_theta(f))
-        npt.assert_allclose(back, f, atol=1e-12)
-
-    def test_round_trip_2d(self):
-        grid = ThetaGrid.for_dim(2, 64)
-        tr = BoxTransform(grid, 7)
-        rng = np.random.default_rng(2)
-        f = rng.normal(size=(15, 15))
-        npt.assert_allclose(tr.to_box(tr.to_theta(f)), f, atol=1e-12)
-
-    def test_rejects_undersized_grid(self):
-        with pytest.raises(ValueError, match="nodes"):
-            BoxTransform(ThetaGrid.for_dim(1, 64), 30)
-
-    def test_box_sites_order(self):
-        s = box_sites(1, 2)
-        assert s.tolist() == [[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 0], [0, 1],
-                              [1, -1], [1, 0], [1, 1]]
-
-
 class TestTorusTransform:
     @pytest.mark.parametrize("dim, nodes", [(1, 64), (2, 32)])
     def test_round_trip(self, dim, nodes):
@@ -312,17 +286,69 @@ class TestTorusTransform:
         sym = first_moment_symbols(model, 1.0, grid.points)
         npt.assert_allclose(torus_symbols(torus_field(sym, grid), grid), sym, atol=1e-13)
 
+    def test_round_trip_exact(self):
+        # a field on the window |x| <= 30 of 256 nodes comes back exactly
+        grid = ThetaGrid.for_dim(1)
+        rng = np.random.default_rng(1)
+        f = np.zeros(256)
+        f[_window(grid, 30)] = rng.normal(size=61)
+        npt.assert_allclose(torus_field(torus_symbols(f, grid), grid), f, atol=1e-12)
+
+    def test_round_trip_2d(self):
+        grid = ThetaGrid.for_dim(2, 64)
+        rng = np.random.default_rng(2)
+        f = np.zeros((64, 64))
+        f[_window(grid, 7)] = rng.normal(size=(15, 15))
+        npt.assert_allclose(torus_field(torus_symbols(f, grid), grid), f, atol=1e-12)
+
+    def test_rejects_undersized_grid(self):
+        # the output window may reach M/4 = 16 sites on 64 nodes, no further
+        grid = ThetaGrid.for_dim(1, 64)
+        model = model_case("b+c+")
+        for route in (first_moment_field, second_moment_field):
+            with pytest.raises(ValueError, match="nodes"):
+                route(model, 1.0, max_pair_window(64) + 1, grid)
+            assert route(model, 1.0, max_pair_window(64), grid).values.shape == (2, 2, 33)
+
+    def test_box_sites_order(self):
+        s = box_sites(1, 2)
+        assert s.tolist() == [[-1, -1], [-1, 0], [-1, 1], [0, -1], [0, 0], [0, 1],
+                              [1, -1], [1, 0], [1, 1]]
+
     @pytest.mark.parametrize("dim, nodes", [(1, 64), (2, 32)])
     def test_agrees_with_box_transform_on_the_box(self, dim, nodes):
-        # the box is the centre of the window: index x + M/2
+        # the window, index x + M/2, against the dense single-site sum at
+        # every site of the largest window (the name is kept from the dense
+        # box transform this route replaced)
         grid = ThetaGrid.for_dim(dim, nodes)
         k = simple_kernel(dim)
         model = TwoTypeModel(k, k, 1.0, 1.0, model_case("b+c+").law)
         sym = first_moment_symbols(model, 1.5, grid.points)
-        tr = BoxTransform(grid, (nodes - 1) // 4)
-        centre = (Ellipsis,) + (slice(nodes // 2 - tr.box_radius,
-                                      nodes // 2 + tr.box_radius + 1),) * dim
-        npt.assert_allclose(torus_field(sym, grid)[centre], tr.to_box(sym), atol=1e-15)
+        radius = max_pair_window(nodes)
+        window = torus_field(sym, grid)[_window(grid, radius)].reshape(2, 2, -1)
+        dense = np.stack([_phase_sum(sym, grid, x) for x in box_sites(radius, dim)],
+                         axis=-1)
+        npt.assert_allclose(window, dense, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim, nodes", [(1, 64), (2, 32)])
+    def test_packed_pair_is_two_transforms(self, dim, nodes):
+        # kernels are symmetric, so symbols and fields are real: a + ib
+        # carries two of them through one FFT, each way
+        grid = ThetaGrid.for_dim(dim, nodes)
+        model = TwoTypeModel(simple_kernel(dim), uniform_range_kernel(dim, 2), 1.0, 1.0,
+                             model_case("b+c+").law)
+        sym = first_moment_symbols(model, 1.5, grid.points)
+        fields = torus_field(sym, grid)
+        packed = torus_field(_pack(sym[:, 0], sym[:, 1]), grid)
+        npt.assert_allclose(packed.real, fields[:, 0], rtol=0, atol=1e-15)
+        npt.assert_allclose(packed.imag, fields[:, 1], rtol=0, atol=1e-15)
+        assert np.abs(torus_field(sym + 0j, grid).imag).max() < 1e-15
+        src = fields[0] * fields[1]          # symmetric products, as in Duhamel
+        packed = torus_symbols(_pack(src[0], src[1]), grid)
+        for part, f in ((packed.real, src[0]), (packed.imag, src[1])):
+            alone = torus_symbols(f, grid)
+            assert np.abs(alone.imag).max() < 1e-15
+            npt.assert_allclose(part, alone.real, rtol=0, atol=1e-15)
 
     def test_window_holds_the_lattice_field(self):
         # a field supported well inside the window comes back exactly,
@@ -334,6 +360,20 @@ class TestTorusTransform:
         sym = 1.0 + 0.5 * np.exp(-3j * theta) + 0.25 * np.exp(7j * theta)
         npt.assert_allclose(torus_symbols(f, grid), sym, atol=1e-14)
         npt.assert_allclose(torus_field(sym, grid), f, atol=1e-15)
+
+    def test_coarse_grid_reports_degraded(self):
+        # at t = 20 the b+c+ walk spreads past a 16-node torus's 3M/8 shell:
+        # its window |x| <= 3 is percent off the oracle, and both fields say so
+        model = model_case("b+c+")
+        grid = ThetaGrid.for_dim(1, 16)
+        ode = first_moment_ode_oracle(model, 20.0, 40)
+        assert ode.boundary_mass < BOUNDARY_TOL
+        inner = ode.values[..., 40 - 3:40 + 4]
+        f1 = first_moment_field(model, 20.0, 3, grid)
+        assert np.abs(f1.values - inner).max() > 0.05 * np.abs(inner).max()
+        for fld in (f1, second_moment_field(model, 20.0, 3, grid)):
+            assert fld.boundary_mass > BOUNDARY_TOL
+            assert fld.degraded
 
 
 class TestMomentFieldApi:
@@ -546,8 +586,7 @@ class TestQuadratureEstimate:
         law, grid = z2.build_epidemic_law(), z2.build_grid()
         k1, k2 = z2.build_kernel(1), z2.build_kernel(2)
         calls.clear()
-        m2 = epidemic_m2(law, k1, z2.kappa1, 4.0, (0, 0), (0, 0), grid,
-                         z2.experiment.box_radius)
+        m2 = epidemic_m2(law, k1, z2.kappa1, 4.0, (0, 0), (0, 0), grid)
         assert calls == [32] and np.isfinite(m2.value)
         calls.clear()
         pair = correlation_ode(law, k1, z2.kappa1, k2, z2.kappa2, 4.0,
