@@ -31,7 +31,8 @@ from .config import ConfigError, RunConfig, config_hash, parse_config, preset, \
 from .csvio import Table, write_csv, write_manifest
 from .epidemic import M1_FLOOR, correlation_ode, epidemic_first_moment_profiles, \
     epidemic_m2
-from .moments import (box_sites, first_moment_field, first_moment_ode_oracle,
+from .branching import TwoTypeModel
+from .moments import (box_sites, first_moment_field, first_moment_ode_oracle, fit_grid,
                       max_pair_window, second_moment_field, second_moment_ode_oracle)
 from .simulate import FATE_BRANCHED, FATE_JUMPED, FATE_NAMES, SimulationRun, \
     map_replicas, snapshot
@@ -129,23 +130,33 @@ def command_simulate(cfg: RunConfig) -> int:
     return 0 if len(failures) < exp.replicas else 1
 
 
-def _require_windows_fit(grid, exp, keys) -> None:
-    """Refuse, before any work or output, an output window the torus cannot
-    hold: each radius in ``keys`` must be at most ``max_pair_window``."""
+def _command_grid(cfg: RunConfig, models, keys):
+    """The command's one theta grid and its manifest entry.
+
+    ``grid_nodes`` (``--grid``) wins; otherwise the grid is fitted over
+    ``models`` at the largest time and the largest output window
+    (``moments.fit_grid``).  An output window the torus cannot hold is
+    refused before any work or output: each radius in ``keys`` must be at
+    most ``max_pair_window``.
+    """
+    exp = cfg.experiment
+    window = max(getattr(exp, key) for key in keys)
+    grid = cfg.build_grid() or fit_grid(models, max(exp.t_list), window)
     for key in keys:
         radius = getattr(exp, key)
         if radius > max_pair_window(grid.nodes_per_axis):
             raise ConfigError(f"experiment.{key}",
                               f"must be at most a quarter of the {grid.nodes_per_axis} "
                               f"theta nodes per axis; got {radius}")
+    return grid, {"theta_grid": {"nodes_per_axis": grid.nodes_per_axis,
+                                 "fitted": exp.grid_nodes is None}}
 
 
 def command_moments(cfg: RunConfig) -> int:
     model = cfg.build_model()
     exp = cfg.experiment
     out = Path(exp.out_dir)
-    grid = cfg.build_grid()
-    _require_windows_fit(grid, exp, ("box_radius",))
+    grid, grid_entry = _command_grid(cfg, [model], ("box_radius",))
     times = sorted(set(exp.t_list))
     ode1 = first_moment_ode_oracle(model, times, exp.box_radius)
     ode2 = second_moment_ode_oracle(model, times, exp.box_radius)
@@ -171,7 +182,7 @@ def command_moments(cfg: RunConfig) -> int:
            "m11_2", "m12_2", "m21_2", "m22_2",
            "boundary_mass", "parity_1", "parity_2", "converged", "degraded"]
     write_csv(out / "moments.csv", hdr, Table.concat(parts, len(hdr)))
-    write_manifest(out, "moments", config_hash(cfg), exp.seed)
+    write_manifest(out, "moments", config_hash(cfg), exp.seed, extra=grid_entry)
     return 0
 
 
@@ -236,9 +247,11 @@ def command_epidemic(cfg: RunConfig) -> int:
     law = cfg.build_epidemic_law()
     exp = cfg.experiment
     out = Path(exp.out_dir)
-    grid = cfg.build_grid()
-    _require_windows_fit(grid, exp, ("corr_box_radius", "box_radius"))
     k1, k2 = cfg.build_kernel(1), cfg.build_kernel(2)
+    # the M2 model walks both types by kernel1; the pair model is the law itself
+    models = [TwoTypeModel(k1, k1, cfg.kappa1, cfg.kappa1, law.to_branching_law()),
+              TwoTypeModel(k1, k2, cfg.kappa1, cfg.kappa2, law.to_branching_law())]
+    grid, grid_entry = _command_grid(cfg, models, ("corr_box_radius", "box_radius"))
     sites = box_sites(exp.box_radius, cfg.dim)
     parts = []
     for t in sorted(set(exp.t_list)):
@@ -261,7 +274,7 @@ def command_epidemic(cfg: RunConfig) -> int:
     hdr = ["t", *[f"u{k + 1}" for k in range(cfg.dim)], "R11", "R12", "R22",
            "boundary_mass", "degraded"]
     write_csv(out / "corr.csv", hdr, Table.concat(parts, len(hdr)))
-    write_manifest(out, "epidemic", config_hash(cfg), exp.seed)
+    write_manifest(out, "epidemic", config_hash(cfg), exp.seed, extra=grid_entry)
     return 0
 
 

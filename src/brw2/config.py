@@ -110,8 +110,11 @@ class RunConfig:
         return EpidemicLaw(mu1=self.law.mu1, mu2=self.law.mu2, infection_rates=rates,
                            conversion_rate=self.law.conversion_rate)
 
-    def build_grid(self) -> ThetaGrid:
-        return ThetaGrid.for_dim(self.dim, self.experiment.grid_nodes)
+    def build_grid(self) -> ThetaGrid | None:
+        """The explicit theta grid of ``grid_nodes``, or None when it is
+        unset: the commands then fit one (``moments.fit_grid``)."""
+        n = self.experiment.grid_nodes
+        return None if n is None else ThetaGrid.for_dim(self.dim, n)
 
     def initial_or_default(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         if self.experiment.initial:

@@ -37,10 +37,11 @@ import numpy as np
 
 from .branching import BranchingLaw, TwoTypeModel, theta_coefficients
 from .lattice import JumpKernel, ThetaGrid
-from .moments import (BOUNDARY_TOL, _as_times, _clip_roundoff, _doubling_quadrature,
-                      _first_moment_torus, _mirror_nodes, _moment_symbols, _phase_sum,
-                      _second_moment_symbols, _shell_mass, _solve_chained, _torus_shell,
-                      _window, box_sites, build_box_generator, first_moment_symbols,
+from .moments import (BOUNDARY_TOL, _as_times, _clip_roundoff, _defect,
+                      _doubling_quadrature, _first_moment_torus, _mirror_nodes,
+                      _moment_symbols, _origin_coefficients, _pack, _phase_sum,
+                      _second_moment_symbols, _solve_chained, _torus_shell, _window,
+                      box_sites, build_box_generator, first_moment_symbols, fit_grid,
                       max_pair_window, torus_field, torus_symbols)
 
 __all__ = [
@@ -114,6 +115,11 @@ def _vec(x):
     return (x,) if isinstance(x, (int, np.integer)) else tuple(x)
 
 
+def _reach(u: np.ndarray) -> int:
+    """Sup-norm radius of the window that holds the offset u."""
+    return math.ceil(np.abs(u).max())
+
+
 def epidemic_first_moment_profiles(law: EpidemicLaw, kernel1: JumpKernel,
                                    kappa1: float, kernel2: JumpKernel, kappa2: float,
                                    t: float, box_radius: int,
@@ -124,10 +130,11 @@ def epidemic_first_moment_profiles(law: EpidemicLaw, kernel1: JumpKernel,
     R1 = m_11 and R2 = m_12 of the generic engine: R1hat = e^{pt} and
     R2hat = r (e^{pt} - e^{qt}) / (p - q) with p = kappa1 ahat1 + A and
     q = kappa2 ahat2 - mu2.  The window is cut from the torus fields and
-    may reach ``max_pair_window``.
+    may reach ``max_pair_window``.  Without a ``grid`` the grid is fitted
+    (``moments.fit_grid``).
     """
     model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
-    grid = grid or ThetaGrid.for_dim(model.dim)
+    grid = grid or fit_grid([model], t, box_radius)
     window = _window(grid, box_radius)
     m1 = _clip_roundoff(_first_moment_torus(model, t, grid)[0][window])
     return m1[0], m1[1]
@@ -147,13 +154,14 @@ def epidemic_m2(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t: float,
     and kernel1 stands in for it.  The symbol is summed against the cosine
     phase of u = y - x, so u need not lie in any window; the quadrature's
     tail test reads the whole torus field.  ``boundary_mass`` is the worst
-    torus-shell mass of the first-moment fields over the time nodes;
-    ``degraded`` also flags a quadrature that hit its node cap.
+    ``_defect`` of the first-moment fields over the time nodes; ``degraded``
+    also flags a quadrature that hit its node cap.  Without a ``grid`` the
+    grid is fitted to the window of radius max |u_k| (``moments.fit_grid``).
     """
     model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
-    grid = grid or ThetaGrid.for_dim(model.dim)
-    sym2, mass, converged = _second_moment_symbols(model, t, grid)
     u = np.asarray(_vec(y), dtype=np.float64) - np.asarray(_vec(x), dtype=np.float64)
+    grid = grid or fit_grid([model], t, _reach(u))
+    sym2, mass, converged = _second_moment_symbols(model, t, grid)
     return M2Value(value=float(_phase_sum(sym2[0, 0], grid, u)), boundary_mass=mass,
                    degraded=mass > BOUNDARY_TOL or not converged)
 
@@ -175,13 +183,15 @@ def intermittency_ratio(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
 
     Each point records whether |x - y| <= regime_c * sqrt(t); M1 underflow
     (below the floor) yields a flagged point instead of a fabricated ratio.
+    Without a ``grid`` one grid is fitted for the largest time.
     """
     u = np.asarray(_vec(y), dtype=float) - np.asarray(_vec(x), dtype=float)
     dist = float(np.linalg.norm(u))
-    g = grid or ThetaGrid.for_dim(kernel1.dim)
     model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
+    times = sorted(float(v) for v in t_list)
+    g = grid or fit_grid([model], max(times, default=0.0), _reach(u))
     out = []
-    for t in sorted(float(v) for v in t_list):
+    for t in times:
         m2 = epidemic_m2(law, kernel1, kappa1, t, x, y, g)
         m1 = float(_phase_sum(first_moment_symbols(model, t, g)[0, 0], g, u))
         in_regime = dist <= regime_c * math.sqrt(t) if t > 0 else True
@@ -244,7 +254,7 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     """Pair correlations R_ij(t, 0, u) by the many-to-two formula on the torus.
 
     Only infected particles branch, beta2 ordered pairs per unit rate, so
-    with g_s = R1(s) R1(t - s) and h_s = R1(s) R2(t - s) pointwise,
+    with g_s + i h_s = R1(s) (R1(t - s) + i R2(t - s)) pointwise,
 
         F11^(t, theta) = beta2 int_0^t g_s^(theta) R1^(t - s, theta) ds,
         F12^(t, theta) = beta2 int_0^t g_s^(theta) R2^(t - s, theta) ds,
@@ -258,12 +268,16 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     engine's Gauss-Legendre doubling loop, which accepts a rule when its
     own Legendre tail is small.  Its nodes come in mirrored
     pairs, so each node's symbols and fields are computed once and serve
-    as the t - s values of its mirror.  ``box_radius`` is only the
-    output window and needs box_radius <= M/4 (``max_pair_window``).
-    ``boundary_mass`` is the largest mass of R1(s), R1(t - s) and R2(t - s)
-    on the torus shell (some |x_k| >= 3M/8) over the nodes: within that
-    window every wrapped term of the cyclic convolution has a factor on the
-    shell, so the wrap-around error is of the order of this mass.
+    as the t - s values of its mirror.  R1 and R2 travel packed, R1 + i R2
+    (``moments._pack``), so one FFT gives both fields of a node and one
+    inverse FFT gives g^ + i h^.  ``box_radius`` is only the output window
+    and needs box_radius <= M/4 (``max_pair_window``); without a ``grid``
+    the grid is fitted for the largest time (``moments.fit_grid``).
+    ``boundary_mass`` is the largest ``moments._defect`` of R1 and R2 over
+    the nodes: their mass on the torus shell (some |x_k| >= 3M/8) or their
+    window-sum gap.  Within the output window every wrapped term of the
+    cyclic convolution has a factor on the shell, so the wrap-around error
+    is of the order of this mass.
 
     The name is kept from the box ODE this route replaced, now
     ``correlation_box_ode``, because the benchmark wraps this function by
@@ -272,19 +286,20 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     """
     times, scalar = _as_times(t)
     model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
-    grid = grid or ThetaGrid.for_dim(model.dim)
+    grid = grid or fit_grid([model], max(times), box_radius)
     window = _window(grid, box_radius)
     dc = model.derived
-    coef = theta_coefficients(model, grid)
+    coef, zero = theta_coefficients(model, grid), _origin_coefficients(model)
     shell = _torus_shell(grid)
 
     def node_sum(s, weights):
         sym = _moment_symbols(coef, dc, s[:, None])[0]          # (R1^, R2^)(s)
-        f = torus_field(sym, grid)
-        sym_r, f_r = _mirror_nodes(sym, 1), _mirror_nodes(f, 1)  # at t - s
-        gh = torus_symbols(f[0] * f_r, grid).real                # g^, h^
-        part = np.stack([gh[0] * sym_r[0], gh[0] * sym_r[1], gh[1] * sym_r[1]])
-        mass = _shell_mass(f, shell)
+        f = torus_field(_pack(sym[0], sym[1]), grid)            # R1 + i R2
+        tot = _moment_symbols(zero, dc, s[:, None])[0, ..., 0]
+        mass = _defect(f, shell, _pack(tot[0], tot[1]))
+        gh = torus_symbols(f.real * _mirror_nodes(f, 0), grid)  # g^ + i h^
+        sym_r = _mirror_nodes(sym, 1)                           # at t - s
+        part = np.stack([gh.real * sym_r[0], gh.real * sym_r[1], gh.imag * sym_r[1]])
         value = np.tensordot(part, weights[:, 0], axes=([1], [0]))
         tails = np.tensordot(weights[:, 1:], part, axes=([0], [1]))
         return law.beta2 * np.concatenate([value[None], tails]), mass

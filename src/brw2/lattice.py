@@ -162,6 +162,8 @@ class ThetaGrid:
     dim: int
     nodes_per_axis: int
 
+    # The largest grid ``moments.fit_grid`` may pick, per dimension; the
+    # Fourier routes fit a smaller one per call unless given a grid.
     DEFAULT_NODES = {1: 256, 2: 128, 3: 64}
 
     def __post_init__(self):

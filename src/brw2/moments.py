@@ -15,14 +15,19 @@ time node).  Symbols and fields meet in one transform: ``torus_field`` and
 ``torus_symbols`` map between the symbols on the M^d theta grid and fields
 on the whole torus window [-M/2, M/2)^d by FFT, with no box.  A field's
 box radius is only an output window cut from the torus, at most M/4
-(``max_pair_window``), and its one truncation defect is the first-moment
-fields' mass on the torus's outer shell (``_shell_mass``).  Kernels are
-symmetric, so every symbol and field is real, and two real fields share
-one complex FFT (``_pack``).  The integrand is smooth in s, so the time
-integral uses Gauss-Legendre nodes, doubling their number until a rule's
-own Legendre tail, its top two discrete Legendre coefficients, is below
-tolerance (``_doubling_quadrature``, shared with the epidemic pair route);
-no rule is computed only to be compared with the next.  The nodes on
+(``max_pair_window``).  Its truncation defect (``_defect``) reads the
+first-moment fields it is built from: the larger of their mass on the
+torus's outer shell and the gap between each field's torus sum and its
+exact lattice total.  M is fitted per call (``fit_grid``): the smallest
+FFT-friendly M that holds the output window and keeps the fields' tail
+beyond 3M/8 under BOUNDARY_TOL, capped at ``ThetaGrid.DEFAULT_NODES``; an
+explicit grid wins.  Kernels are symmetric, so every symbol and field is
+real, and two real fields share one complex FFT (``_pack``).  The
+integrand is smooth in s, so the time integral uses Gauss-Legendre nodes,
+doubling their number until a rule's own Legendre tail, its top two
+discrete Legendre coefficients, is below tolerance
+(``_doubling_quadrature``, shared with the epidemic pair route); no rule
+is computed only to be compared with the next.  The nodes on
 [0, t] are mirrored, s_{n-1-k} = t - s_k, and each block of nodes holds
 whole pairs, so U(t - s) at a node is U(s) at its mirror: every symbol is
 evaluated once per node.  Symbols over the whole grid come from per-axis
@@ -46,6 +51,7 @@ distinct (t, x) are safe, and each oracle integration owns its state.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -169,7 +175,7 @@ def max_pair_window(nodes_per_axis: int) -> int:
     Products of torus fields are cyclic convolutions, so a term g(w)
     R(u - w) with |u - w| >= M/2 lands on the window wrapped by M.  With
     |u| <= M/4 such a pair has |w| + |u - w - M| >= 3M/4 in the wrapped
-    coordinate, so one factor sits on the 3M/8 shell that ``_shell_mass``
+    coordinate, so one factor sits on the 3M/8 shell that ``_defect``
     measures; past M/4 both can sit inside it, unmeasured.
     """
     return nodes_per_axis // 4
@@ -191,12 +197,29 @@ def _torus_shell(grid: ThetaGrid) -> np.ndarray:
     return (np.abs(np.indices((m,) * grid.dim) - m // 2) >= 3 * m / 8).any(axis=0)
 
 
-def _shell_mass(fields: np.ndarray, shell: np.ndarray) -> float:
-    """Largest mass on the ``shell`` over torus fields, the one truncation
-    defect of the Fourier routes; a packed field counts as its two fields."""
-    parts = (fields.real, fields.imag) if np.iscomplexobj(fields) else (fields,)
+def _defect(fields: np.ndarray, shell: np.ndarray, totals: np.ndarray) -> float:
+    """The truncation defect of the Fourier routes over torus fields: the
+    larger of each field's mass on the ``shell`` and the gap between its
+    sum over the torus window and ``totals``, its exact lattice total (the
+    theta = 0 symbol, ``_origin_coefficients``).  A packed field and its
+    packed total count as their two fields.
+
+    The window sum is sum_y f(y) (-1)^{n(y)}, n(y) the image count of y, so
+    the gap sees a field far wider than the torus, whose anti-periodic
+    images cancel on the shell and leave its mass there near 0.
+    """
+    def parts(a):
+        return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
     axes = tuple(range(-shell.ndim, 0))
-    return max(float(np.abs(p).sum(axis=axes, where=shell).max()) for p in parts)
+    gap = fields.sum(axis=axes) - totals
+    return max(*(float(np.abs(p).sum(axis=axes, where=shell).max()) for p in parts(fields)),
+               *(float(np.abs(p).max()) for p in parts(gap)))
+
+
+def _origin_coefficients(model: TwoTypeModel) -> ThetaCoefficients:
+    """Drift coefficients at theta = 0, where a first-moment symbol is its
+    field's exact lattice total."""
+    return theta_coefficients(model, np.zeros((1, model.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +315,10 @@ class MomentField:
     counted type - 1, x + L per coordinate).  ``boundary_mass`` is the total
     rate-weighted flux killed at the box boundary for oracle fields; for
     Fourier fields, whose box is an output window cut from the torus field,
-    it is the worst torus-shell mass of the first-moment fields they are
-    built from.  ``degraded`` is set when it exceeds BOUNDARY_TOL, and also
-    when the Duhamel time quadrature stopped at its node cap (``converged``
-    False).
+    it is the worst ``_defect`` (torus-shell mass or window-sum gap) of the
+    first-moment fields they are built from.  ``degraded`` is set when it
+    exceeds BOUNDARY_TOL, and also when the Duhamel time quadrature stopped
+    at its node cap (``converged`` False).
     """
 
     t: float
@@ -335,12 +358,14 @@ def first_moment_field(model: TwoTypeModel, t: float, box_radius: int,
     """Fourier-route first-moment field on the output window |x_k| <= box_radius.
 
     The window, at most ``max_pair_window`` (ValueError past it), is cut
-    from the torus field; ``boundary_mass`` is that field's shell mass.
+    from the torus field; ``boundary_mass`` is that field's defect
+    (``_defect``).  Without a ``grid`` the grid is fitted (``fit_grid``).
     """
-    grid = grid or ThetaGrid.for_dim(model.dim)
+    grid = grid or fit_grid([model], t, box_radius)
     window = _window(grid, box_radius)
     m1 = _first_moment_torus(model, t, grid)
-    mass = _shell_mass(m1, _torus_shell(grid))
+    mass = _defect(m1, _torus_shell(grid),
+                   first_moment_symbols(model, t, np.zeros((1, model.dim)))[..., 0])
     return MomentField(t=t, box_radius=box_radius, order=1, dim=model.dim,
                        values=_clip_roundoff(m1[window]), boundary_mass=mass,
                        degraded=mass > BOUNDARY_TOL)
@@ -351,6 +376,56 @@ def _first_moment_torus(model: TwoTypeModel, t: float, grid: ThetaGrid) -> np.nd
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     return torus_field(first_moment_symbols(model, t, grid), grid)
+
+
+FIT_TIMES = 8            # fit_grid reads the fields at t_max / 2^k, k < FIT_TIMES
+
+
+def _five_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def fit_grid(models, t_max: float, window: int) -> ThetaGrid:
+    """The smallest theta grid for the Fourier fields of ``models`` up to
+    time ``t_max`` on output windows of radius ``window``.
+
+    M is the smallest 5-smooth even M >= 4 window (``max_pair_window``)
+    whose first-moment fields carry at most BOUNDARY_TOL of the ``_defect``
+    on an M-node torus, capped at ``ThetaGrid.DEFAULT_NODES``: the cap is
+    returned when no smaller M passes.  The fields are transformed once, on
+    the cap grid, at the times t_max / 2^k (k < FIT_TIMES).  Each field's
+    |m_ij| summed over sup-norm radius >= r, for every r, comes from one
+    bincount; at r = 3M/8 it bounds the M-torus shell mass, since every
+    image of a shell site lies further out.  The cap grid's own window-sum
+    gap is a floor under every candidate.  A field whose tail peaks between
+    the sampled times, as a fast-dying walk's can, may be fitted a grid on
+    which a route reports it ``degraded``; the routes' defect still holds.
+    """
+    dim = models[0].dim
+    cap = ThetaGrid.for_dim(dim)
+    sizes = [m for m in range(max(2, 4 * window), cap.nodes_per_axis, 2) if _five_smooth(m)]
+    if not sizes:
+        return cap
+    radius = np.abs(np.indices((cap.nodes_per_axis,) * dim) - cap.nodes_per_axis // 2
+                    ).max(axis=0).ravel()
+    times = t_max / 2.0 ** np.arange(FIT_TIMES)[:, None]
+    tail, floor = np.zeros(radius.max() + 1), 0.0
+    for model in models:
+        dc = model.derived
+        sym = _moment_symbols(theta_coefficients(model, cap), dc, times)   # (2, 2, T, N)
+        m1 = torus_field(_pack(sym[:, 0], sym[:, 1]), cap).reshape(2, FIT_TIMES, -1)
+        exact = _moment_symbols(_origin_coefficients(model), dc, times)[..., 0]
+        gap = m1.sum(axis=-1) - _pack(exact[:, 0], exact[:, 1])
+        floor = max(floor, float(np.abs(gap.real).max()), float(np.abs(gap.imag).max()))
+        for f in np.abs(np.concatenate([m1.real, m1.imag])).reshape(-1, radius.size):
+            tail = np.maximum(tail, np.cumsum(np.bincount(radius, f)[::-1])[::-1])
+    for m in sizes:
+        if max(tail[math.ceil(3 * m / 8)], floor) <= BOUNDARY_TOL:
+            return ThetaGrid(dim, m)
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -595,37 +670,43 @@ def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
 
 
 def _duhamel_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoefficients,
-                   shell: np.ndarray, s_blk: np.ndarray,
+                   zero: ThetaCoefficients, shell: np.ndarray, s_blk: np.ndarray,
                    w_blk: np.ndarray) -> tuple[np.ndarray, float]:
     """Weighted Duhamel integrand U(t - s) f(s) over one block of node pairs,
     summed against each column of the (B, 3) weights ``w_blk``, and the
-    worst torus-shell mass of the first-moment fields it is built from.
+    worst ``_defect`` of the first-moment fields it is built from.
 
-    ``coef`` holds the drift coefficients on the grid points, computed once
-    per second-moment call.  U(s) is the first-moment symbol, and U(t - s)
-    is U at the mirror nodes.  Every symbol and field is real, so the two
-    counted types travel packed as one complex array, m_k1 + i m_k2
-    (``_pack``), through both FFTs, U(t - s) f and the weighted sums.  The
-    source products are taken on the float view, which multiplies real
-    parts with real parts and imaginary with imaginary, so they come out
-    packed too: f_k1 + i f_k2.
+    ``coef`` and ``zero`` hold the drift coefficients on the grid points
+    and at theta = 0, computed once per second-moment call.  U(s) is the
+    first-moment symbol, and U(t - s) is U at the mirror nodes.  Every
+    symbol and field is real, so the two counted types travel packed as one
+    complex array, m_a1 + i m_a2 (``_pack``), through both FFTs, U(t - s) f
+    and the weighted sums.  The source products are taken on the float
+    view, which multiplies real parts with real parts and imaginary with
+    imaginary, so they come out packed too: f_k1 + i f_k2.  Only the start
+    types a that some branching event produces (dens[k, a, b] > 0) are
+    transformed, so the defect covers just the fields that feed the source;
+    for the epidemic law that is start type 1, half the forward FFTs.
     """
     dc = model.derived
     dens = dc.factorial_density
     n_blk, n_pts = len(s_blk), grid.n_points
+    fed = np.flatnonzero(dens.any(axis=(0, 2)))
     sym1 = _moment_symbols(coef, dc, s_blk[:, None])               # (2, 2, B, N)
-    m1 = torus_field(_pack(sym1[:, 0], sym1[:, 1]), grid)          # (2, B) + (M,)*d
-    mass = _shell_mass(m1, shell)
-    m = m1.view(np.float64)
-    prods = (m[0] * m[0], m[1] * m[1], m[0] * m[1])
+    m1 = torus_field(_pack(sym1[fed, 0], sym1[fed, 1]), grid)      # (F, B) + (M,)*d
+    tot = _moment_symbols(zero, dc, s_blk[:, None])[fed, ..., 0]   # (F, 2, B)
+    mass = _defect(m1, shell, _pack(tot[:, 0], tot[:, 1]))
+    m = dict(zip(fed.tolist(), m1.view(np.float64)))
+    prods = {(a, b): m[a] * m[b] for a, b in ((0, 0), (1, 1), (0, 1))
+             if dens[:, a, b].any()}
     del m1, m                        # the block's fields, freed before U f is formed
     u = _mirror_nodes(sym1, axis=2)                                # U(t - s)
     uf = np.zeros((n_blk, 2, n_pts), dtype=complex)                # (U f)_i1 + i (U f)_i2
     for k in range(2):
         if not dens[k].any():        # type k never branches: no source
             continue
-        src = (dens[k, 0, 0] * prods[0] + dens[k, 1, 1] * prods[1]
-               + 2.0 * dens[k, 0, 1] * prods[2])
+        src = sum((1.0 if a == b else 2.0) * dens[k, a, b] * p
+                  for (a, b), p in prods.items())
         fhat = torus_symbols(src.view(complex), grid)             # (B, N)
         for i in range(2):
             uf[:, i] += u[i, k] * fhat
@@ -635,22 +716,24 @@ def _duhamel_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoefficients
 
 def _second_moment_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
                            window=Ellipsis) -> tuple[np.ndarray, float, bool]:
-    """mhat^(2)(t, theta, 0), the worst torus-shell mass of the first-moment
+    """mhat^(2)(t, theta, 0), the worst ``_defect`` of the first-moment
     fields inside the integral, and whether the quadrature converged.
 
     The homogeneous part U(t) applied to the delta initial data plus the
     Duhamel integral, by ``_doubling_quadrature`` on the torus fields; its
-    tail test reads the torus field on ``window`` (default: all of it).
+    tail test reads the torus field on ``window`` (default: all of it).  A
+    law with no branching has no integral.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     coef = theta_coefficients(model, grid)
     dc = model.derived
-    if t == 0.0:
-        return _moment_symbols(coef, dc, 0.0), 0.0, True
+    if t == 0.0 or not dc.factorial_density.any():
+        return _moment_symbols(coef, dc, t), 0.0, True
     init = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t)
     return _doubling_quadrature(
-        t, init, partial(_duhamel_nodes, model, grid, coef, _torus_shell(grid)),
+        t, init, partial(_duhamel_nodes, model, grid, coef, _origin_coefficients(model),
+                         _torus_shell(grid)),
         lambda sym: torus_field(sym, grid)[window])
 
 
@@ -663,9 +746,10 @@ def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,
     doubled until a rule's Legendre tail on the window is below tolerance
     (``_doubling_quadrature``); a field whose quadrature hit the node cap
     has ``converged`` False and ``degraded`` True, as has one whose
-    first-moment fields carry more than BOUNDARY_TOL on the torus shell.
+    first-moment fields' ``_defect`` exceeds BOUNDARY_TOL.  Without a
+    ``grid`` the grid is fitted (``fit_grid``).
     """
-    grid = grid or ThetaGrid.for_dim(model.dim)
+    grid = grid or fit_grid([model], t, box_radius)
     window = _window(grid, box_radius)
     sym2, mass, converged = _second_moment_symbols(model, t, grid, window)
     return MomentField(t=t, box_radius=box_radius, order=2, dim=model.dim,

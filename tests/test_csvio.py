@@ -195,12 +195,12 @@ GOLDEN = {
             "f3474698e0820424e4602faeaccaa87eb2e0fcc440a0e776a422df4a1b60a5f4"}),
     "moments": (["--config", MOMENTS_D1], {
         "moments.csv":
-            "6c2d6b3f010b9a867128fb6a68a265bebda49c6c7778d3e265db91886c18b32e"}),
+            "38e391ec48c8951c4844cbf5456958da62fb3edf2744896e2c6d42857a5df82e"}),
     "epidemic": (["--preset", "fig-z2", "--t", "1", "--box", "6"], {
         "epidemic.csv":
-            "e3a9dabe5ccd693731e9c4256e9c7457c910707ac6b075d1da8834900efeea81",
+            "a9388048dd0843295c575c04ae3f4b8b86964105df56eb8ed5b01118ae27421a",
         "corr.csv":
-            "032f4610389d71130b24ee443b3fbb5bf09dd3315a836492efc2717bfe7ca791"}),
+            "a171e18da790e3b5197f61062e11ba864d015b16816ea89d46559e1bdea921e7"}),
     "cells": (["--config", CELLS_D2], {
         "cells.csv":
             "12f2b395d7c674a855b8cc9c98bb09acf7892fc61e993dcd41cdfc2c3cacdeb5"}),

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 from pathlib import Path
@@ -11,6 +12,7 @@ from scipy.integrate import DOP853
 from scipy.linalg import expm
 
 from brw2 import moments
+from brw2.cli import main
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.config import parse_config, preset
 from brw2.epidemic import EpidemicLaw, epidemic_first_moment_profiles, epidemic_m2
@@ -19,7 +21,7 @@ from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
 from brw2.epidemic import correlation_ode
 from brw2.moments import (BOUNDARY_TOL, _pack, _phase_sum, _window, box_sites,
                           first_moment_asymptote, first_moment_field,
-                          first_moment_ode_oracle, first_moment_symbols,
+                          first_moment_ode_oracle, first_moment_symbols, fit_grid,
                           fundamental_solution, max_pair_window, second_moment_field,
                           second_moment_ode_oracle, torus_field, torus_symbols)
 
@@ -375,6 +377,80 @@ class TestTorusTransform:
             assert fld.boundary_mass > BOUNDARY_TOL
             assert fld.degraded
 
+    def test_aliased_grid_reports_degraded(self):
+        # a critical walk at t = 200 is ~14 sites wide: on 8 nodes its
+        # anti-periodic images cancel, m_11(0) reads 6.1e-8 against 0.0282 and
+        # the shell mass 4.7e-8, but the window sum misses the total by ~1
+        fld = first_moment_field(critical_walk(), 200.0, 0, ThetaGrid(1, 8))
+        assert abs(fld.value(1, 1, 0) - 0.02823) > 0.028
+        assert fld.boundary_mass > 0.9
+        assert fld.degraded
+
+
+def critical_walk() -> TwoTypeModel:
+    """Two decoupled critical binary laws on simple walks (b = c = 0)."""
+    law = BranchingLaw(mu1=0.5, mu2=0.5, beta1={(2, 0): 0.5}, beta2={(0, 2): 0.5})
+    return TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 1.0, law)
+
+
+def fields_inputs():
+    """The benchmark's field inputs, as the CLI fits them: (models, largest
+    time, largest output window) for both moment configs and fig-z2."""
+    out = []
+    for name in ("moments-d1", "moments-d2"):
+        cfg = parse_config(
+            (Path(__file__).parents[1] / f"perfbench/configs/{name}.yaml").read_text())
+        out.append(([cfg.build_model()], max(cfg.experiment.t_list),
+                    cfg.experiment.box_radius))
+    z2 = preset("fig-z2")
+    law = z2.build_epidemic_law().to_branching_law()
+    k1, k2 = z2.build_kernel(1), z2.build_kernel(2)
+    out.append(([TwoTypeModel(k1, k1, z2.kappa1, z2.kappa1, law),
+                 TwoTypeModel(k1, k2, z2.kappa1, z2.kappa2, law)],
+                max(z2.experiment.t_list),
+                max(z2.experiment.box_radius, z2.experiment.corr_box_radius)))
+    return out
+
+
+class TestFitGrid:
+    def test_fields_inputs(self):
+        assert [fit_grid(*args).nodes_per_axis for args in fields_inputs()] == [120, 60, 90]
+
+    def test_wide_field_gets_a_wide_grid(self):
+        model = critical_walk()
+        ref = first_moment_field(model, 200.0, 0, ThetaGrid(1, 1024))
+        assert fit_grid([model], 200.0, 0).nodes_per_axis >= 192
+        fld = first_moment_field(model, 200.0, 0)
+        assert abs(fld.value(1, 1, 0) - ref.value(1, 1, 0)) <= 1e-9
+        assert not fld.degraded
+
+    def test_window_past_the_cap_gets_the_cap(self):
+        # so `--box 65` at d = 1 is still refused (test_config_cli, before any work)
+        model = model_case("b+c+")
+        assert fit_grid([model], 1.0, 65) == ThetaGrid.for_dim(1)
+        with pytest.raises(ValueError):
+            first_moment_field(model, 1.0, 65)
+
+    def test_explicit_grid_wins(self, tmp_path):
+        cfg = Path(__file__).parents[1] / "perfbench/configs/moments-d1.yaml"
+        grids = []
+        for flags in ([], ["--grid", "256"]):
+            out = tmp_path / f"out{len(grids)}"
+            assert main(["moments", "--config", str(cfg), "--t", "1", *flags,
+                         "--out", str(out)]) == 0
+            grids.append(json.loads((out / "manifest.json").read_text())["theta_grid"])
+        assert grids == [{"nodes_per_axis": 120, "fitted": True},
+                         {"nodes_per_axis": 256, "fitted": False}]
+
+    def test_manifest_grid_is_stable_across_reruns(self, tmp_path):
+        entries = []
+        for k in range(2):
+            out = tmp_path / f"run{k}"
+            assert main(["epidemic", "--preset", "fig-z2", "--t", "1", "--box", "6",
+                         "--out", str(out)]) == 0
+            entries.append(json.loads((out / "manifest.json").read_text())["theta_grid"])
+        assert entries[0] == entries[1] and entries[0]["fitted"]
+
 
 class TestMomentFieldApi:
     def test_site_lookup_and_errors(self):
@@ -577,13 +653,11 @@ class TestQuadratureEstimate:
         # each integral stops at its first rule: leggauss is called once
         calls = []
         monkeypatch.setattr(moments, "leggauss", lambda n: calls.append(n) or leggauss(n))
-        cfg = parse_config(
-            (Path(__file__).parents[1] / "perfbench/configs/moments-d1.yaml").read_text())
-        fld = second_moment_field(cfg.build_model(), 5.0, cfg.experiment.box_radius,
-                                  cfg.build_grid())
+        (d1, t_max, radius), _, z2_fit = fields_inputs()
+        fld = second_moment_field(d1[0], t_max, radius, fit_grid(d1, t_max, radius))
         assert calls == [32] and fld.converged
         z2 = preset("fig-z2")
-        law, grid = z2.build_epidemic_law(), z2.build_grid()
+        law, grid = z2.build_epidemic_law(), fit_grid(*z2_fit)
         k1, k2 = z2.build_kernel(1), z2.build_kernel(2)
         calls.clear()
         m2 = epidemic_m2(law, k1, z2.kappa1, 4.0, (0, 0), (0, 0), grid)
