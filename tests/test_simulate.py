@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import partial
 
@@ -8,6 +9,7 @@ from scipy import stats
 
 from brw2 import simulate
 from brw2.branching import BranchingLaw, TwoTypeModel
+from brw2.config import preset
 from brw2.lattice import simple_kernel, uniform_range_kernel
 from brw2.moments import first_moment_field
 from brw2.simulate import (FATE_BRANCHED, FATE_CENSORED, FATE_CONVERTED, FATE_DIED,
@@ -20,6 +22,13 @@ def critical_model() -> TwoTypeModel:
                        beta1={(2, 0): 0.125, (1, 1): 0.125},
                        beta2={(0, 2): 0.125, (1, 1): 0.25})
     return TwoTypeModel(simple_kernel(1), uniform_range_kernel(1, 3), 1.0, 4.0, law)
+
+
+def conversion_model_2d() -> TwoTypeModel:
+    """d = 2, subcritical, with type-1 -> type-2 conversion and a (0, 3) birth."""
+    law = BranchingLaw(mu1=0.3, mu2=0.45, beta1={(2, 0): 0.15, (1, 1): 0.1},
+                       beta2={(0, 3): 0.1, (1, 1): 0.15}, conversion_rate=0.2)
+    return TwoTypeModel(simple_kernel(2), uniform_range_kernel(2, 1), 1.0, 2.0, law)
 
 
 def _displacement(sim, idx) -> np.ndarray:
@@ -290,3 +299,61 @@ def _alive_total_squared(sim, t):
 
 def _replica_id(sim):
     return sim.replica_id
+
+
+# Column digests of the event engine, one case per law shape.  Each digest
+# covers every SimulationRun column of every replica, dtype and shape
+# included, so a change to the draw stream, the draw order, the stack order
+# or a column's dtype shows here.
+COLUMNS = ("types", "positions", "t1", "t2", "fates", "aux_a", "aux_b", "parents")
+
+
+def _column_digests(runs) -> dict[str, str]:
+    out = {}
+    for name in COLUMNS:
+        h = hashlib.sha256()
+        for sim in runs:
+            col = getattr(sim, name)
+            h.update(f"{col.dtype.str}{col.shape}".encode())
+            h.update(np.ascontiguousarray(col).tobytes())
+        out[name] = h.hexdigest()[:16]
+    return out
+
+
+def _critical_runs():
+    return [run(critical_model(), 200.0, [(1, 0)], seed=1, replica_id=k)
+            for k in range(50)]
+
+
+def _conversion_runs():
+    return [run(conversion_model_2d(), 30.0, [(1, (0, 0)), (2, (3, -1))], seed=5,
+                replica_id=k) for k in range(200)]
+
+
+def _fig_z1_runs():
+    cfg = preset("fig-z1")
+    exp = cfg.experiment
+    return [run(cfg.build_model(), exp.horizon, cfg.initial_or_default(), seed=0)]
+
+
+PINNED = {
+    "conversion-2d": {"types": "972cf7ec705f72b9", "positions": "d70f8bba93f70eb7",
+                      "t1": "09a2291cffe4718a", "t2": "c78d6a42f9877c7d",
+                      "fates": "9bcb6083bea3d587", "aux_a": "05ad53cf8aa59a58",
+                      "aux_b": "8ff4559f84894345", "parents": "afbbaf0db4dbd16c"},
+    "critical": {"types": "a35a5e62ff9ad7e5", "positions": "a8dcfe800dc1fb6a",
+                 "t1": "abf65d7924f31adb", "t2": "fc829258844dafd7",
+                 "fates": "950890101859441d", "aux_a": "6c6c21fec5220830",
+                 "aux_b": "3e7c1461af11d5b6", "parents": "20464596d5f796b1"},
+    "fig-z1": {"types": "90c7a8ba4053b094", "positions": "60cf5243ecbc72b8",
+               "t1": "24192aae13a92856", "t2": "b07a967e4b39aa33",
+               "fates": "e52660545c064176", "aux_a": "841e49b565bf01d6",
+               "aux_b": "23e377095b95f775", "parents": "e5d4cc01ef65bed9"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_engine_columns_are_pinned(case):
+    runs = {"critical": _critical_runs, "conversion-2d": _conversion_runs,
+            "fig-z1": _fig_z1_runs}[case]()
+    assert _column_digests(runs) == PINNED[case]
