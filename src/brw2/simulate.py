@@ -18,22 +18,36 @@ Randomness comes from a counter-based Philox generator keyed by
 (seed, replica_id), which makes replica streams provably non-overlapping
 and every run bit-reproducible; only raw uniforms are consumed from the
 generator so the draw sequence is independent of library version details.
+Each record takes, in this order, its sojourn uniform (t2 = t1 - log(1 - u)
+/ rho_i), then, unless t2 reaches T and the record is censored, its fate
+uniform and, for a jump, its jump-index uniform.  Records are numbered in
+the order they leave a LIFO stack, onto which a branching record pushes its
+k type-1 children and then its l type-2 children.
 
-A completed ``SimulationRun`` holds its records as columns (no per-record
-objects) and is immutable.  Replicas are embarrassingly parallel:
-``map_replicas`` is the one loop over them, used by ``ensemble``, the
-survival and conditional sweeps and the CLI, and it fans out over
-BRW2_THREADS processes with picklable reducers without changing results.
+The loop keeps only what the draw order depends on: per record its type,
+t1, t2, an outcome code and its parent.  Everything else is decoded after
+the loop with numpy.  One table, indexed by outcome code, gives the fate,
+aux and jump-offset columns, and a record's position is its root's initial
+site plus the jump offsets of its ancestors, summed by pointer doubling
+over the parents.  A completed ``SimulationRun`` holds its records as
+columns (no per-record objects) and is immutable.
+
+Replicas are embarrassingly parallel: ``map_replicas`` is the one loop over
+them, used by ``ensemble``, the survival and conditional sweeps and the
+CLI, and it fans out over BRW2_THREADS processes with picklable reducers
+without changing results.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -91,22 +105,34 @@ def replica_rng(seed: int, replica_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _UniformBuffer:
-    """Amortized scalar uniforms in [0, 1) from a numpy Generator."""
+def _uniform_chunks(rng: np.random.Generator) -> Iterator[list[float]]:
+    """The generator's uniforms in [0, 1) as lists of Python floats.
 
-    def __init__(self, rng: np.random.Generator, size: int = 8192):
-        self._rng = rng
-        self._size = size
-        self._buf = rng.random(size)
-        self._idx = 0
+    Chunks grow from 64 to 8192 draws, so a short replica draws little more
+    than it uses; the chunk sizes never change the sequence.
+    """
+    for size in (64, 512, 4096):
+        yield rng.random(size).tolist()
+    while True:
+        yield rng.random(8192).tolist()
 
-    def next(self) -> float:
-        i = self._idx
-        if i == self._size:
-            self._buf = self._rng.random(self._size)
-            i = 0
-        self._idx = i + 1
-        return self._buf[i]
+
+def _ancestor_sums(parents: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """out[i] = values[i] + out[parents[i]], summed up to a root (parent -1).
+
+    Pointer doubling: each pass adds the partial sum of the ancestor a node
+    points at and then points it at that ancestor's ancestor, so a node of
+    depth k is done after ceil(log2(k + 1)) passes over the unfinished nodes.
+    """
+    out = values.copy()
+    ptr = parents.copy()
+    todo = np.flatnonzero(ptr >= 0)
+    while todo.size:
+        up = ptr[todo]
+        out[todo] += out[up]
+        ptr[todo] = ptr[up]
+        todo = todo[ptr[todo] >= 0]
+    return out
 
 
 @dataclass(frozen=True)
@@ -144,20 +170,23 @@ class SimulationRun:
         return (self.t1 <= t) & ((t < self.t2) | (censored & (t <= self.t2)))
 
     def root_of(self) -> np.ndarray:
-        """Initial-ancestor record index per record (parents precede children)."""
-        roots = np.arange(self.n_records, dtype=np.int64)
-        for idx in range(self.n_records):
-            p = self.parents[idx]
-            if p >= 0:
-                roots[idx] = roots[p]
-        return roots
+        """Initial-ancestor record index per record: only a root contributes
+        its own index to the sum along its descendants' ancestry."""
+        parents = self.parents
+        own = np.where(parents < 0, np.arange(len(parents), dtype=np.int64), 0)
+        return _ancestor_sums(parents, own)
 
 
 class _CompiledType:
-    """Per-type sampling tables for the event loop."""
+    """Per-type sampling and decode tables for the event loop.
 
-    __slots__ = ("inv_rho", "rho", "bounds", "branch_offspring", "jump_cum",
-                 "jump_offsets", "n_branch", "convert_slot")
+    A record's outcome code is -1 when it is censored, its slot in
+    ``bounds`` (death, each branching event in order, conversion), or
+    ``len(bounds)`` plus its jump index.  Row code + 1 of ``decode`` holds
+    that outcome's fate, aux_a, aux_b and jump offset.
+    """
+
+    __slots__ = ("rho", "inv_rho", "bounds", "children", "jump_cum", "decode")
 
     def __init__(self, model: TwoTypeModel, ptype: int):
         law = model.law
@@ -174,17 +203,22 @@ class _CompiledType:
         bounds = []
         acc = mu / rho
         bounds.append(acc)                     # death
-        self.branch_offspring = [(k, l) for k, l, _ in branches]
         for _, _, r in branches:
             acc += r / rho
             bounds.append(acc)
-        self.n_branch = len(branches)
         acc += conv / rho
         bounds.append(acc)                     # conversion (zero-width for type 2)
-        self.convert_slot = 1 + self.n_branch
         self.bounds = bounds                   # jump fills the remainder to 1
+        # child types per slot, in push order: k type-1 then l type-2
+        self.children = ([()] + [(1,) * k + (2,) * l for k, l, _ in branches]
+                         + [(2,)])
         self.jump_cum = np.cumsum(kernel.weights).tolist()
-        self.jump_offsets = [tuple(int(c) for c in v) for v in kernel.offsets]
+        still = [0] * model.dim
+        self.decode = ([[FATE_CENSORED, -1, -1, *still], [FATE_DIED, -1, -1, *still]]
+                       + [[FATE_BRANCHED, k, l, *still] for k, l, _ in branches]
+                       + [[FATE_CONVERTED, -1, -1, *still]]
+                       + [[FATE_JUMPED, zi, -1, *off]
+                          for zi, off in enumerate(kernel.offsets.tolist())])
 
 
 def run(model: TwoTypeModel, horizon: float, initial, seed: int,
@@ -200,87 +234,71 @@ def run(model: TwoTypeModel, horizon: float, initial, seed: int,
     if not init:
         raise ValueError("initial configuration must not be empty")
     comp = {1: _CompiledType(model, 1), 2: _CompiledType(model, 2)}
-    buf = _UniformBuffer(replica_rng(seed, replica_id))
-    nextu = buf.next
+    # loop tables: [type, 1/rho, bounds, children per slot, jump_cum, last jump
+    # index]; the children entry past the last slot is None and marks a jump
+    tabs = {p: [p, c.inv_rho, c.bounds, None, c.jump_cum, len(c.jump_cum) - 1]
+            for p, c in comp.items()}
+    for p, c in comp.items():
+        tabs[p][3] = [tuple(tabs[q] for q in kids) for kids in c.children] + [None]
+    nextu = chain.from_iterable(_uniform_chunks(replica_rng(seed, replica_id))).__next__
     log = math.log
     T = float(horizon)
 
     types: list[int] = []
-    xs: list[tuple[int, ...]] = []
     t1s: list[float] = []
     t2s: list[float] = []
-    fates: list[int] = []
-    aux_a: list[int] = []
-    aux_b: list[int] = []
+    codes: list[int] = []
     parents: list[int] = []
+    add_type, add_t1, add_t2 = types.append, t1s.append, t2s.append
+    add_code, add_parent = codes.append, parents.append
 
-    stack = [(p, x, 0.0, -1) for p, x in reversed(init)]
+    stack = [(tabs[p], 0.0, -1) for p, _ in reversed(init)]
+    pop, push = stack.pop, stack.append
     while stack:
-        ptype, pos, t1, parent = stack.pop()
+        tab, t1, parent = pop()
         rid = len(types)
         if rid >= event_cap:
             raise EventCapExceeded(event_cap, replica_id)
-        ct = comp[ptype]
-        dt = -log(1.0 - nextu()) * ct.inv_rho
-        t2 = t1 + dt
-        types.append(ptype)
-        xs.append(pos)
-        t1s.append(t1)
-        parents.append(parent)
+        ptype, inv_rho, bounds, children, jump_cum, last_jump = tab
+        add_type(ptype)
+        add_t1(t1)
+        add_parent(parent)
+        t2 = t1 - log(1.0 - nextu()) * inv_rho
         if t2 >= T:
-            t2s.append(T)
-            fates.append(FATE_CENSORED)
-            aux_a.append(-1)
-            aux_b.append(-1)
+            add_t2(T)
+            add_code(-1)
             continue
-        t2s.append(t2)
-        u = nextu()
-        bounds = ct.bounds
-        slot = 0
-        n_slots = len(bounds)
-        while slot < n_slots and u >= bounds[slot]:
-            slot += 1
-        if slot == 0:
-            fates.append(FATE_DIED)
-            aux_a.append(-1)
-            aux_b.append(-1)
-        elif slot <= ct.n_branch:
-            k, l = ct.branch_offspring[slot - 1]
-            fates.append(FATE_BRANCHED)
-            aux_a.append(k)
-            aux_b.append(l)
-            for _ in range(k):
-                stack.append((1, pos, t2, rid))
-            for _ in range(l):
-                stack.append((2, pos, t2, rid))
-        elif slot == ct.convert_slot:
-            fates.append(FATE_CONVERTED)
-            aux_a.append(-1)
-            aux_b.append(-1)
-            stack.append((2, pos, t2, rid))
+        add_t2(t2)
+        slot = bisect_right(bounds, nextu())
+        kids = children[slot]
+        if kids is None:
+            add_code(slot + bisect_right(jump_cum, nextu(), 0, last_jump))
+            push((tab, t2, rid))
         else:
-            uz = nextu()
-            jc = ct.jump_cum
-            zi = 0
-            nz = len(jc) - 1
-            while zi < nz and uz >= jc[zi]:
-                zi += 1
-            off = ct.jump_offsets[zi]
-            fates.append(FATE_JUMPED)
-            aux_a.append(zi)
-            aux_b.append(-1)
-            stack.append((ptype, tuple(a + b for a, b in zip(pos, off)), t2, rid))
+            add_code(slot)
+            for kid in kids:
+                push((kid, t2, rid))
 
+    # decode: one table row per (type, outcome code)
+    types = np.array(types, dtype=np.int8)
+    parents = np.array(parents, dtype=np.int64)
+    table = np.array(comp[1].decode + comp[2].decode, dtype=np.int64)
+    row = np.array(codes, dtype=np.int64) + 1
+    row[types == 2] += len(comp[1].decode)
+    decoded = table[row]
+    # a root holds its initial site, a child its parent's jump offset
+    steps = decoded[parents, 3:]
+    steps[parents < 0] = [x for _, x in init]
     return SimulationRun(
         model=model, horizon=T, seed=seed, replica_id=replica_id,
         initial=tuple(init),
-        types=np.array(types, dtype=np.int8),
-        positions=np.array(xs, dtype=np.int64).reshape(len(xs), model.dim),
+        types=types,
+        positions=_ancestor_sums(parents, steps),
         t1=np.array(t1s), t2=np.array(t2s),
-        fates=np.array(fates, dtype=np.int8),
-        aux_a=np.array(aux_a, dtype=np.int32),
-        aux_b=np.array(aux_b, dtype=np.int32),
-        parents=np.array(parents, dtype=np.int64))
+        fates=decoded[:, 0].astype(np.int8),
+        aux_a=decoded[:, 1].astype(np.int32),
+        aux_b=decoded[:, 2].astype(np.int32),
+        parents=parents)
 
 
 def _pos_tuple(x, dim: int) -> tuple[int, ...]:

@@ -184,6 +184,21 @@ class TestCells:
         assert set(starts) == {5.0, 10.0}
         assert starts[10.0] <= starts[5.0] <= {x for _, x in initial}
 
+    def test_surviving_start_points_match_reference_roots(self):
+        model = critical_binary_model(dim=2)
+        initial = [(1, (x, y)) for x in range(0, 12, 3) for y in range(0, 12, 3)]
+        sim = run(model, 20.0, initial, seed=41)
+        roots = np.arange(sim.n_records)
+        for idx in range(sim.n_records):
+            if sim.parents[idx] >= 0:
+                roots[idx] = roots[sim.parents[idx]]
+        starts = surviving_start_points(sim, [5.0, 20.0])
+        for t in (5.0, 20.0):
+            alive_roots = roots[sim.alive_mask(t)]
+            assert len(alive_roots) > 0
+            assert starts[t] == {tuple(int(c) for c in sim.positions[r])
+                                 for r in alive_roots}
+
     def test_degenerate_cells_appear_for_critical_law(self):
         # at t = 100 with nu = log t, at least one degenerate cell in >= 50%
         # of replicas (the qualitative 1 - 1/e^C bound)

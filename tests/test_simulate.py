@@ -137,6 +137,98 @@ class TestRunBasics:
         with pytest.raises(EventCapExceeded, match="500"):
             run(model, 50.0, [(1, 0)], seed=1, event_cap=500)
 
+    def test_event_cap_boundary(self):
+        """A cap of exactly n records passes unchanged; n - 1 raises."""
+        model, initial = critical_model(), [(1, 0), (2, 5)]
+        free = run(model, 30.0, initial, seed=18)
+        n = free.n_records
+        assert n > 1000
+        capped = run(model, 30.0, initial, seed=18, event_cap=n)
+        for name in COLUMNS:
+            a, b = getattr(capped, name), getattr(free, name)
+            assert a.dtype == b.dtype
+            npt.assert_array_equal(a, b)
+        with pytest.raises(EventCapExceeded, match=f"cap of {n - 1} records"):
+            run(model, 30.0, initial, seed=18, event_cap=n - 1)
+
+    def test_roots_and_positions_match_reference_loops(self):
+        model = conversion_model_2d()
+        initial = [(1 + (i % 2), (i % 8, i // 8)) for i in range(40)]
+        sim = run(model, 8.0, initial, seed=1, replica_id=4)
+        roots = np.arange(sim.n_records)
+        positions = np.zeros_like(sim.positions)
+        sites = iter(x for _, x in initial)
+        for idx in range(sim.n_records):
+            p = sim.parents[idx]
+            if p < 0:
+                positions[idx] = next(sites)
+                continue
+            roots[idx] = roots[p]
+            positions[idx] = positions[p]
+            if sim.fates[p] == FATE_JUMPED:
+                positions[idx] += _displacement(sim, p)
+        assert (roots != np.arange(sim.n_records)).sum() > 400
+        npt.assert_array_equal(sim.root_of(), roots)
+        npt.assert_array_equal(sim.positions, positions)
+
+    def test_draw_stream(self, monkeypatch):
+        """The draws a replica consumes are the first k of its stream, k being
+        1 per censored record, 2 per other record and 1 more per jump, taken
+        in record order as sojourn, fate, jump index."""
+        model = conversion_model_2d()
+        initial = [(1 + (i % 2), (i % 8, i // 8)) for i in range(40)]
+        seed, rid = 1, 4
+        chunks = []
+
+        class Recording:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self, size):
+                chunks.append(self._rng.random(size))
+                return chunks[-1]
+
+        monkeypatch.setattr(simulate, "replica_rng",
+                            lambda s, r: Recording(replica_rng(s, r)))
+        sim = run(model, 8.0, initial, seed=seed, replica_id=rid)
+        censored = sim.fates == FATE_CENSORED
+        jumped = sim.fates == FATE_JUMPED
+        per_record = np.where(censored, 1, 2 + jumped)
+        k = int(per_record.sum())
+        sizes = [len(c) for c in chunks]
+        assert len(sizes) >= 3 and sum(sizes[:-1]) < k <= sum(sizes)
+        u = replica_rng(seed, rid).random(k)
+        npt.assert_array_equal(np.concatenate(chunks)[:k], u)
+
+        law = model.law
+        rates = {1: (law.mu1, law.beta1, law.conversion_rate),
+                 2: (law.mu2, law.beta2, 0.0)}
+        first = np.cumsum(per_record) - per_record
+        for idx in range(sim.n_records):
+            ptype = int(sim.types[idx])
+            mu, branches, conv = rates[ptype]
+            rho = model.kappa(ptype) + mu + sum(r for _, _, r in branches) + conv
+            t2 = sim.t1[idx] - math.log(1.0 - u[first[idx]]) / rho
+            if censored[idx]:
+                assert t2 >= sim.horizon
+                continue
+            assert t2 == pytest.approx(sim.t2[idx], rel=1e-12, abs=1e-12)
+            edges = np.cumsum([mu] + [r for _, _, r in branches] + [conv]) / rho
+            slot = int(np.searchsorted(edges, u[first[idx] + 1], side="right"))
+            if slot == len(edges):
+                assert jumped[idx]
+                cum = np.cumsum(model.kernel(ptype).weights)[:-1]
+                assert sim.aux_a[idx] == np.searchsorted(cum, u[first[idx] + 2],
+                                                         side="right")
+            elif slot == 0:
+                assert sim.fates[idx] == FATE_DIED
+            elif slot == len(edges) - 1:
+                assert sim.fates[idx] == FATE_CONVERTED
+            else:
+                k_, l_, _ = branches[slot - 1]
+                assert sim.fates[idx] == FATE_BRANCHED
+                assert (sim.aux_a[idx], sim.aux_b[idx]) == (k_, l_)
+
 
 class TestSnapshot:
     def test_initial_configuration_at_t0(self):
