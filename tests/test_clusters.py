@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -233,3 +234,19 @@ class TestOccupiedSites:
         occ = occupied_sites_1d(sim, 3.0)
         snap_sites = {pos[0] for (_ptype, pos) in snapshot(sim, 3.0)}
         assert set(occ.tolist()) == snap_sites
+
+
+# Digest of the count-only sweeps' outputs: the survival curve and both
+# conditional-mean curves of the critical law, 200 replicas at one seed.  The
+# repr of a curve holds every float to round-trip precision, so a change to a
+# history, to the alive rule or to the reduction shows here.
+SWEEP_TIMES = (0.0, 20.0, 50.0, 100.0)
+PINNED_SWEEPS = "1eb99343b664b347"
+
+
+def test_sweep_outputs_are_pinned():
+    model = critical_model()
+    curves = (survival_curve(model, 1, SWEEP_TIMES, 200, 8),
+              conditional_mean_curve(model, 1, 1, SWEEP_TIMES, 200, 8),
+              conditional_mean_curve(model, 1, 2, SWEEP_TIMES, 200, 8))
+    assert hashlib.sha256(repr(curves).encode()).hexdigest()[:16] == PINNED_SWEEPS
