@@ -62,13 +62,21 @@ class SurvivalCurve:
 
 
 def _type_totals(sim: SimulationRun, t_list) -> np.ndarray:
-    """(len(t_list), 2) live type-1 and type-2 counts of one replica."""
-    out = np.zeros((len(t_list), 2), dtype=np.int64)
-    for row, t in enumerate(t_list):
-        alive = sim.types[sim.alive_mask(t)]
-        out[row, 0] = int((alive == 1).sum())
-        out[row, 1] = int((alive == 2).sum())
-    return out
+    """(len(t_list), 2) live type-1 and type-2 counts of one replica.
+
+    All times in one broadcast, with the rule of ``alive_mask``: a record
+    is alive on [t1, t2), and a censored one, which is exactly one with
+    t2 == horizon, on the closed [t1, horizon].
+    """
+    t = np.asarray(t_list, dtype=float)
+    outside = t[(t < 0) | (t > sim.horizon)]
+    if outside.size:
+        raise ValueError(f"time {outside[0]} outside [0, {sim.horizon}]")
+    t = t[:, None]
+    alive = (sim.t1 <= t) & ((t < sim.t2) | (sim.t2 == sim.horizon))
+    total = np.count_nonzero(alive, axis=1)
+    type2 = np.count_nonzero(alive & (sim.types == 2), axis=1)
+    return np.stack([total - type2, type2], axis=1)
 
 
 def _sweep_totals(model: TwoTypeModel, initial_type: int, t_list, n_replicas: int,

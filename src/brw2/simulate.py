@@ -25,12 +25,17 @@ the order they leave a LIFO stack, onto which a branching record pushes its
 k type-1 children and then its l type-2 children.
 
 The loop keeps only what the draw order depends on: per record its type,
-t1, t2, an outcome code and its parent.  Everything else is decoded after
-the loop with numpy.  One table, indexed by outcome code, gives the fate,
-aux and jump-offset columns, and a record's position is its root's initial
+t2, an outcome code and its parent.  A jumped particle is always the next
+record, so a jump chain runs in place, without a trip through the stack.
+The loop and decode tables are compiled once per model (``_tables``; the
+model is immutable) and shared by all its runs.  Everything else is decoded
+after the loop with numpy: t1 is the parent's t2 (0.0 at a root), and one
+table, indexed by outcome code, gives the fate and aux columns.  Positions
+are decoded on first access: a record's position is its root's initial
 site plus the jump offsets of its ancestors, summed by pointer doubling
-over the parents.  A completed ``SimulationRun`` holds its records as
-columns (no per-record objects) and is immutable.
+over the parents, so the count-only sweeps never pay for it.  A completed
+``SimulationRun`` holds its records as columns (no per-record objects) and
+is immutable.
 
 Replicas are embarrassingly parallel: ``map_replicas`` is the one loop over
 them, used by ``ensemble``, the survival and conditional sweeps and the
@@ -45,9 +50,9 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -143,6 +148,11 @@ class SimulationRun:
     ``model.kernel(type).offsets[aux_a]``.  Every non-initial record's t1
     equals its parent's t2, and censored records (t2 == T) count as alive
     on the closed interval [t1, T].
+
+    The event loop keeps per record only its type, t2, outcome code and
+    parent.  t1 is the parent's t2 (0.0 at a root), and ``positions`` is
+    decoded from the parents and jump offsets on its first access, so a
+    reducer that only counts never pays for it.
     """
 
     model: TwoTypeModel
@@ -151,7 +161,6 @@ class SimulationRun:
     replica_id: int
     initial: tuple[tuple[int, tuple[int, ...]], ...]
     types: np.ndarray = field(repr=False)        # (n,) int8, values 1 | 2
-    positions: np.ndarray = field(repr=False)    # (n, d) int64
     t1: np.ndarray = field(repr=False)
     t2: np.ndarray = field(repr=False)
     fates: np.ndarray = field(repr=False)        # (n,) int8 fate codes
@@ -162,6 +171,18 @@ class SimulationRun:
     @property
     def n_records(self) -> int:
         return len(self.types)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(n, d) int64 sites: a root holds its initial site, and every other
+        record its parent's site plus the parent's jump offset, if any."""
+        tables = _tables(self.model)
+        parents = self.parents
+        jump = np.where(self.fates == FATE_JUMPED,
+                        self.aux_a + (self.types == 2) * tables.type2_offset, -1)
+        steps = tables.offsets[jump[parents]]
+        steps[parents < 0] = [x for _, x in self.initial]
+        return _ancestor_sums(parents, steps)
 
     def alive_mask(self, t: float) -> np.ndarray:
         if t < 0 or t > self.horizon:
@@ -183,7 +204,7 @@ class _CompiledType:
     A record's outcome code is -1 when it is censored, its slot in
     ``bounds`` (death, each branching event in order, conversion), or
     ``len(bounds)`` plus its jump index.  Row code + 1 of ``decode`` holds
-    that outcome's fate, aux_a, aux_b and jump offset.
+    that outcome's fate, aux_a and aux_b.
     """
 
     __slots__ = ("rho", "inv_rho", "bounds", "children", "jump_cum", "decode")
@@ -213,12 +234,45 @@ class _CompiledType:
         self.children = ([()] + [(1,) * k + (2,) * l for k, l, _ in branches]
                          + [(2,)])
         self.jump_cum = np.cumsum(kernel.weights).tolist()
-        still = [0] * model.dim
-        self.decode = ([[FATE_CENSORED, -1, -1, *still], [FATE_DIED, -1, -1, *still]]
-                       + [[FATE_BRANCHED, k, l, *still] for k, l, _ in branches]
-                       + [[FATE_CONVERTED, -1, -1, *still]]
-                       + [[FATE_JUMPED, zi, -1, *off]
-                          for zi, off in enumerate(kernel.offsets.tolist())])
+        self.decode = ([(FATE_CENSORED, -1, -1), (FATE_DIED, -1, -1)]
+                       + [(FATE_BRANCHED, k, l) for k, l, _ in branches]
+                       + [(FATE_CONVERTED, -1, -1)]
+                       + [(FATE_JUMPED, zi, -1) for zi in range(len(kernel.weights))])
+
+
+class _Tables(NamedTuple):
+    """Everything ``run`` and ``SimulationRun.positions`` read of a model."""
+
+    loop: dict          # type -> [type, 1/rho, bounds, children, jump_cum, last jump]
+    fates: np.ndarray   # decode columns by row: type-1 rows, then type-2 rows
+    aux_a: np.ndarray
+    aux_b: np.ndarray
+    type2_row: int      # first type-2 row
+    offsets: np.ndarray  # type-1 then type-2 jump offsets, then a zero row
+    type2_offset: int   # first type-2 offset
+
+
+@lru_cache(maxsize=16)
+def _tables(model: TwoTypeModel) -> _Tables:
+    """The model's loop and decode tables, compiled once per model.
+
+    The model is immutable, so the tables are shared by all its runs.  In a
+    loop table the children entry past the last slot is None, which marks a
+    jump; every other entry lists the children's own loop tables.
+    """
+    comp = {1: _CompiledType(model, 1), 2: _CompiledType(model, 2)}
+    loop = {p: [p, c.inv_rho, c.bounds, None, c.jump_cum, len(c.jump_cum) - 1]
+            for p, c in comp.items()}
+    for p, c in comp.items():
+        loop[p][3] = [tuple(loop[q] for q in kids) for kids in c.children] + [None]
+    decode = np.array(comp[1].decode + comp[2].decode, dtype=np.int64)
+    offsets = np.concatenate([model.kernel1.offsets, model.kernel2.offsets,
+                              np.zeros((1, model.dim), dtype=np.int64)])
+    return _Tables(loop=loop, fates=decode[:, 0].astype(np.int8),
+                   aux_a=decode[:, 1].astype(np.int32),
+                   aux_b=decode[:, 2].astype(np.int32),
+                   type2_row=len(comp[1].decode), offsets=offsets,
+                   type2_offset=len(model.kernel1.offsets))
 
 
 def run(model: TwoTypeModel, horizon: float, initial, seed: int,
@@ -233,71 +287,59 @@ def run(model: TwoTypeModel, horizon: float, initial, seed: int,
     init = [(int(p), _pos_tuple(x, model.dim)) for p, x in initial]
     if not init:
         raise ValueError("initial configuration must not be empty")
-    comp = {1: _CompiledType(model, 1), 2: _CompiledType(model, 2)}
-    # loop tables: [type, 1/rho, bounds, children per slot, jump_cum, last jump
-    # index]; the children entry past the last slot is None and marks a jump
-    tabs = {p: [p, c.inv_rho, c.bounds, None, c.jump_cum, len(c.jump_cum) - 1]
-            for p, c in comp.items()}
-    for p, c in comp.items():
-        tabs[p][3] = [tuple(tabs[q] for q in kids) for kids in c.children] + [None]
+    tables = _tables(model)
     nextu = chain.from_iterable(_uniform_chunks(replica_rng(seed, replica_id))).__next__
     log = math.log
     T = float(horizon)
 
     types: list[int] = []
-    t1s: list[float] = []
     t2s: list[float] = []
     codes: list[int] = []
     parents: list[int] = []
-    add_type, add_t1, add_t2 = types.append, t1s.append, t2s.append
+    add_type, add_t2 = types.append, t2s.append
     add_code, add_parent = codes.append, parents.append
 
-    stack = [(tabs[p], 0.0, -1) for p, _ in reversed(init)]
+    stack = [(tables.loop[p], 0.0, -1) for p, _ in reversed(init)]
     pop, push = stack.pop, stack.append
+    rid = -1
     while stack:
         tab, t1, parent = pop()
-        rid = len(types)
-        if rid >= event_cap:
-            raise EventCapExceeded(event_cap, replica_id)
         ptype, inv_rho, bounds, children, jump_cum, last_jump = tab
-        add_type(ptype)
-        add_t1(t1)
-        add_parent(parent)
-        t2 = t1 - log(1.0 - nextu()) * inv_rho
-        if t2 >= T:
-            add_t2(T)
-            add_code(-1)
-            continue
-        add_t2(t2)
-        slot = bisect_right(bounds, nextu())
-        kids = children[slot]
-        if kids is None:
+        # a jump's continuation is the next record, so a jump chain stays here
+        while True:
+            rid += 1
+            if rid >= event_cap:
+                raise EventCapExceeded(event_cap, replica_id)
+            add_type(ptype)
+            add_parent(parent)
+            t2 = t1 - log(1.0 - nextu()) * inv_rho
+            if t2 >= T:
+                add_t2(T)
+                add_code(-1)
+                break
+            add_t2(t2)
+            slot = bisect_right(bounds, nextu())
+            kids = children[slot]
+            if kids is not None:
+                add_code(slot)
+                for kid in kids:
+                    push((kid, t2, rid))
+                break
             add_code(slot + bisect_right(jump_cum, nextu(), 0, last_jump))
-            push((tab, t2, rid))
-        else:
-            add_code(slot)
-            for kid in kids:
-                push((kid, t2, rid))
+            t1, parent = t2, rid
 
     # decode: one table row per (type, outcome code)
     types = np.array(types, dtype=np.int8)
     parents = np.array(parents, dtype=np.int64)
-    table = np.array(comp[1].decode + comp[2].decode, dtype=np.int64)
+    t2 = np.array(t2s)
+    t1 = t2[parents]
+    t1[parents < 0] = 0.0
     row = np.array(codes, dtype=np.int64) + 1
-    row[types == 2] += len(comp[1].decode)
-    decoded = table[row]
-    # a root holds its initial site, a child its parent's jump offset
-    steps = decoded[parents, 3:]
-    steps[parents < 0] = [x for _, x in init]
+    row[types == 2] += tables.type2_row
     return SimulationRun(
         model=model, horizon=T, seed=seed, replica_id=replica_id,
-        initial=tuple(init),
-        types=types,
-        positions=_ancestor_sums(parents, steps),
-        t1=np.array(t1s), t2=np.array(t2s),
-        fates=decoded[:, 0].astype(np.int8),
-        aux_a=decoded[:, 1].astype(np.int32),
-        aux_b=decoded[:, 2].astype(np.int32),
+        initial=tuple(init), types=types, t1=t1, t2=t2,
+        fates=tables.fates[row], aux_a=tables.aux_a[row], aux_b=tables.aux_b[row],
         parents=parents)
 
 

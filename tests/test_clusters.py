@@ -2,11 +2,12 @@ import hashlib
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brw2 import clusters
+from brw2 import clusters, simulate
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.clusters import (cell_stats_2d, cluster_stats_1d, conditional_mean_curve,
                            occupied_sites_1d, survival_curve, surviving_start_points)
@@ -134,6 +135,51 @@ class TestConditionalMean:
         with pytest.warns(UserWarning):
             curve = conditional_mean_curve(model, 1, 1, [5.0, 10.0], 150, 7)
         assert curve.points[-1].omitted and curve.points[-1].mean is None
+
+
+def conversion_model_2d():
+    """d = 2, subcritical, with type-1 -> type-2 conversion and a (0, 3) birth."""
+    law = BranchingLaw(mu1=0.3, mu2=0.45, beta1={(2, 0): 0.15, (1, 1): 0.1},
+                       beta2={(0, 3): 0.1, (1, 1): 0.15}, conversion_rate=0.2)
+    return TwoTypeModel(simple_kernel(2), uniform_range_kernel(2, 1), 1.0, 2.0, law)
+
+
+class TestCountOnlySweeps:
+    @pytest.mark.parametrize("make_model, initial", [
+        (critical_model, [(1, 0), (2, 3)]),
+        (conversion_model_2d, [(1, (0, 0)), (2, (3, -1)), (1, (1, 1))]),
+    ])
+    def test_type_totals_match_alive_mask_counts(self, make_model, initial):
+        horizon = 12.0
+        times = [0.0, 0.5, 3.0, 7.25, horizon]
+        censored_seen = 0
+        for rid in range(30):
+            sim = run(make_model(), horizon, initial, seed=13, replica_id=rid)
+            expect = [[int((sim.types[sim.alive_mask(t)] == p).sum()) for p in (1, 2)]
+                      for t in times]
+            got = clusters._type_totals(sim, times)
+            assert got.dtype == np.int64
+            npt.assert_array_equal(got, expect)
+            censored_seen += int((sim.t2 == horizon).sum())
+        assert censored_seen > 0
+
+    def test_type_totals_reject_times_outside_the_run(self):
+        sim = run(critical_model(), 5.0, [(1, 0)], seed=2)
+        for bad in ([-1.0, 2.0], [2.0, 5.5]):
+            with pytest.raises(ValueError, match="outside"):
+                clusters._type_totals(sim, bad)
+
+    def test_sweeps_never_decode_positions(self, monkeypatch):
+        def refuse(parents, values):
+            raise AssertionError("a count-only sweep decoded positions")
+
+        monkeypatch.setattr(simulate, "_ancestor_sums", refuse)
+        times = [1.0, 4.0]
+        survival_curve(critical_model(), 1, times, 100, 3, n_workers=1)
+        for j in (1, 2):
+            conditional_mean_curve(critical_model(), 1, j, times, 100, 3, n_workers=1)
+        with pytest.raises(AssertionError, match="decoded positions"):
+            run(critical_model(), 4.0, [(1, 0)], seed=3).positions
 
 
 class TestEventCapRefusal:

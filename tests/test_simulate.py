@@ -230,6 +230,66 @@ class TestRunBasics:
                 assert (sim.aux_a[idx], sim.aux_b[idx]) == (k_, l_)
 
 
+class TestCompiledTables:
+    def test_cached_tables_give_freshly_compiled_histories(self):
+        """Runs on cached tables equal runs on freshly compiled ones, across
+        models with different laws and an equal but distinct model object."""
+        a, b = critical_model(), conversion_model_2d()
+        a_copy = TwoTypeModel(a.kernel1, a.kernel2, a.kappa1, a.kappa2,
+                              BranchingLaw(mu1=0.25, mu2=0.375,
+                                           beta1={(2, 0): 0.125, (1, 1): 0.125},
+                                           beta2={(0, 2): 0.125, (1, 1): 0.25}))
+        assert a_copy == a and a_copy is not a
+        cases = [(a, [(1, 0), (2, 4)]), (b, [(1, (0, 0)), (2, (3, -1))]),
+                 (a, [(2, -3)]), (a_copy, [(1, 0), (2, 4)])]
+        cached = [[run(model, 20.0, initial, seed=6, replica_id=k) for k in range(5)]
+                  for model, initial in cases]
+        for (model, initial), runs in zip(cases, cached):
+            for k, sim in enumerate(runs):
+                simulate._tables.cache_clear()
+                fresh = run(model, 20.0, initial, seed=6, replica_id=k)
+                for name in COLUMNS:
+                    a_col, b_col = getattr(sim, name), getattr(fresh, name)
+                    assert a_col.dtype == b_col.dtype
+                    npt.assert_array_equal(a_col, b_col)
+
+    def test_one_compile_per_model(self):
+        model = critical_model()
+        simulate._tables.cache_clear()
+        for k in range(4):
+            run(model, 5.0, [(1, 0)], seed=2, replica_id=k)
+        info = simulate._tables.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_two_workers_agree_on_cached_tables(self):
+        model = critical_model()
+        run(model, 5.0, [(1, 0)], seed=1)           # warm this process's cache
+        seq, _ = map_replicas(model, 20.0, [(1, 0), (2, 3)], 8, 21, _columns,
+                              n_workers=1)
+        par, _ = map_replicas(model, 20.0, [(1, 0), (2, 3)], 8, 21, _columns,
+                              n_workers=2)
+        for one, two in zip(seq, par):
+            for a_col, b_col in zip(one, two):
+                npt.assert_array_equal(a_col, b_col)
+
+
+class TestLazyPositions:
+    def test_positions_decoded_once_on_first_access(self, monkeypatch):
+        sim = run(conversion_model_2d(), 8.0, [(1, (0, 0)), (2, (3, -1))], seed=3)
+        assert "positions" not in vars(sim)
+        calls = []
+
+        def counting(parents, values):
+            calls.append(len(parents))
+            return ancestor_sums(parents, values)
+
+        ancestor_sums = simulate._ancestor_sums
+        monkeypatch.setattr(simulate, "_ancestor_sums", counting)
+        first = sim.positions
+        assert sim.positions is first and calls == [sim.n_records]
+        assert first.dtype == np.int64 and first.shape == (sim.n_records, 2)
+
+
 class TestSnapshot:
     def test_initial_configuration_at_t0(self):
         sim = run(critical_model(), 5.0, [(1, 0), (1, 0), (2, 4)], seed=21)
@@ -391,6 +451,10 @@ def _alive_total_squared(sim, t):
 
 def _replica_id(sim):
     return sim.replica_id
+
+
+def _columns(sim):
+    return tuple(getattr(sim, name) for name in COLUMNS)
 
 
 # Column digests of the event engine, one case per law shape.  Each digest
