@@ -8,20 +8,22 @@ type 2 (immune) particles only walk and die.  With
     A    = beta - mu1 - r,
 
 this is the two-type law beta_1(n, 0) = b_n with conversion rate r, for
-which the generic moment engine has r1 = A, b = r and c = 0.  The first
-moments R1 = m_11 and R2 = m_12 and the second moment of the infected count
+which the generic moment engine has r1 = A, b = r and c = 0.  Its moments
+are views of ``brw2.moments`` read at start type 1 (one infected at the
+origin): the first moments R1 = m_11 and R2 = m_12; the second moment
+of the infected count
 
-    M2(t,x,y) = M1(t,x,y) + beta2 int_0^t sum_w M1(t-s,x,w) M1^2(s,w,y) ds
+    M2(t,x,y) = M1(t,x,y) + beta2 int_0^t sum_w M1(t-s,x,w) M1^2(s,w,y) ds,
 
-are therefore views of ``brw2.moments``, and ``moments.second_moment_ode_oracle``
-on the same law is their independent box-ODE check.  The pair correlations
-R11, R12, R22 at (0, u) follow from the many-to-two formula: one time
-integral over products of first-moment fields, evaluated by FFT on the
-theta grid's torus (``correlation_ode``).  Their independent check is the
+the many-to-two diagonal (``epidemic_m2``); and the pair correlations R11,
+R12, R22 at (0, u), its origin slice (``correlation_ode``).
+``moments.second_moment_ode_oracle`` on the same law is the independent
+box-ODE check of M2.  The pair correlations' independent check is the
 linear ODE system they close into, integrated over full (x, y) boxes
 (``correlation_box_ode``): the single-particle initial condition
 delta_0(x) delta_0(y) is not translation invariant, so no difference
-reduction is applied to its stored fields.
+reduction is applied to its stored fields.  The intermittency ratio
+M2 / M1^2 at the origin is a column of ``brw2 epidemic``'s output.
 
 Everything here is pure evaluation; box integrations own their state and
 distinct times can be computed concurrently.
@@ -35,24 +37,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branching import BranchingLaw, TwoTypeModel, theta_coefficients
+from .branching import BranchingLaw, TwoTypeModel
 from .lattice import JumpKernel, ThetaGrid
-from .moments import (BOUNDARY_TOL, _as_times, _clip_roundoff, _defect,
-                      _doubling_quadrature, _first_moment_torus, _mirror_nodes,
-                      _moment_symbols, _origin_coefficients, _pack, _phase_sum,
-                      _second_moment_symbols, _solve_chained, _torus_shell, _window,
-                      box_sites, build_box_generator, first_moment_symbols, fit_grid,
-                      max_pair_window, torus_field, torus_symbols)
+from .moments import (BOUNDARY_TOL, _as_times, _clip_roundoff, _first_moment_torus,
+                      _many_to_two_symbols, _phase_sum, _solve_chained, _window, box_sites,
+                      build_box_generator, first_moment_symbols, fit_grid, max_pair_window,
+                      torus_field)
 
 __all__ = [
     "EpidemicLaw",
     "CorrelationField",
     "PairSlices",
     "M2Value",
-    "RatioPoint",
     "epidemic_first_moment_profiles",
     "epidemic_m2",
-    "intermittency_ratio",
     "correlation_ode",
     "correlation_box_ode",
     "max_pair_window",
@@ -148,12 +146,16 @@ class M2Value(NamedTuple):
 
 def epidemic_m2(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t: float,
                 x, y, grid: ThetaGrid | None = None) -> M2Value:
-    """M2(t, x, y) = m^(2)_11(t, y - x) of the generic Duhamel route.
+    """M2(t, x, y) = m^(2)_11(t, y - x), start row 1 of the moment engine's
+    many-to-two diagonal (``moments._many_to_two_symbols``).
 
     Immune particles never infect, so the type-2 walk does not enter m_11
-    and kernel1 stands in for it.  The symbol is summed against the cosine
-    phase of u = y - x, so u need not lie in any window; the quadrature's
-    tail test reads the whole torus field.  ``boundary_mass`` is the worst
+    and kernel1 stands in for it; only the infected start row is
+    integrated.  The symbol is summed against the cosine phase of u = y - x,
+    so u need not lie in any window; the quadrature's tail test reads the
+    whole torus field.  This integral is kept apart from the origin slice
+    that gives R11(t, 0, 0) (``correlation_ode``), so the two stay
+    independent routes to one value.  ``boundary_mass`` is the worst
     ``_defect`` of the first-moment fields over the time nodes; ``degraded``
     also flags a quadrature that hit its node cap.  Without a ``grid`` the
     grid is fitted to the window of radius max |u_k| (``moments.fit_grid``).
@@ -161,47 +163,9 @@ def epidemic_m2(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t: float,
     model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
     u = np.asarray(_vec(y), dtype=np.float64) - np.asarray(_vec(x), dtype=np.float64)
     grid = grid or fit_grid([model], t, _reach(u))
-    sym2, mass, converged = _second_moment_symbols(model, t, grid)
+    sym2, mass, converged = _many_to_two_symbols(model, t, grid, [0])
     return M2Value(value=float(_phase_sum(sym2[0, 0], grid, u)), boundary_mass=mass,
                    degraded=mass > BOUNDARY_TOL or not converged)
-
-
-@dataclass(frozen=True)
-class RatioPoint:
-    t: float
-    ratio: float | None
-    m1: float
-    m2: float
-    in_sqrt_regime: bool
-    flagged: bool
-
-
-def intermittency_ratio(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
-                        t_list, x, y, grid: ThetaGrid | None = None,
-                        regime_c: float = 2.0) -> list[RatioPoint]:
-    """Pointwise M2 / M1^2 along ``t_list``.
-
-    Each point records whether |x - y| <= regime_c * sqrt(t); M1 underflow
-    (below the floor) yields a flagged point instead of a fabricated ratio.
-    Without a ``grid`` one grid is fitted for the largest time.
-    """
-    u = np.asarray(_vec(y), dtype=float) - np.asarray(_vec(x), dtype=float)
-    dist = float(np.linalg.norm(u))
-    model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
-    times = sorted(float(v) for v in t_list)
-    g = grid or fit_grid([model], max(times, default=0.0), _reach(u))
-    out = []
-    for t in times:
-        m2 = epidemic_m2(law, kernel1, kappa1, t, x, y, g)
-        m1 = float(_phase_sum(first_moment_symbols(model, t, g)[0, 0], g, u))
-        in_regime = dist <= regime_c * math.sqrt(t) if t > 0 else True
-        if m1 <= M1_FLOOR:
-            out.append(RatioPoint(t=t, ratio=None, m1=m1, m2=m2.value,
-                                  in_sqrt_regime=in_regime, flagged=True))
-        else:
-            out.append(RatioPoint(t=t, ratio=m2.value / m1 ** 2, m1=m1, m2=m2.value,
-                                  in_sqrt_regime=in_regime, flagged=m2.degraded))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +191,9 @@ class PairSlices:
     ``r11``, ``r12`` and ``r22`` hold E[N1(0) N1(u)], E[N1(0) N2(u)] and
     E[N2(0) N2(u)], and ``r1``, ``r2`` the first moments R1(t, u), R2(t, u),
     each flattened over ``box_sites(box_radius, dim)``.  ``boundary_mass``
-    is the worst torus-shell mass of the first-moment fields inside the
-    time integral; ``degraded`` is set when it exceeds the tolerance or the
+    is the worst ``moments._defect`` of the first-moment fields inside the
+    time integral: the larger of their torus-shell mass and their
+    window-sum gap.  ``degraded`` is set when it exceeds BOUNDARY_TOL or the
     quadrature stopped at its node cap (``converged`` False).
     """
 
@@ -250,67 +215,40 @@ class PairSlices:
 
 def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
                     kernel2: JumpKernel, kappa2: float, t, box_radius: int,
-                    boundary_tol: float = BOUNDARY_TOL, grid: ThetaGrid | None = None):
-    """Pair correlations R_ij(t, 0, u) by the many-to-two formula on the torus.
+                    grid: ThetaGrid | None = None):
+    """Pair correlations R_ij(t, 0, u), start row 1 of the moment engine's
+    many-to-two origin slice (``moments._many_to_two_symbols``).
 
-    Only infected particles branch, beta2 ordered pairs per unit rate, so
-    with g_s + i h_s = R1(s) (R1(t - s) + i R2(t - s)) pointwise,
-
-        F11^(t, theta) = beta2 int_0^t g_s^(theta) R1^(t - s, theta) ds,
-        F12^(t, theta) = beta2 int_0^t g_s^(theta) R2^(t - s, theta) ds,
-        F22^(t, theta) = beta2 int_0^t h_s^(theta) R2^(t - s, theta) ds,
-
-    and R11 = F11 + delta_{u0} R1(t, 0), R12 = F12, R22 = F22 + delta_{u0}
-    R2(t, 0) (Harris & Roberts, "The many-to-few lemma and multiple
-    spines", Ann. IHP 2017).  R1^ and R2^ are the generic engine's
-    first-moment symbols; fields and products live on the theta grid's
-    torus window (``moments.torus_field``), and the time integral is the
-    engine's Gauss-Legendre doubling loop, which accepts a rule when its
-    own Legendre tail is small.  Its nodes come in mirrored
-    pairs, so each node's symbols and fields are computed once and serve
-    as the t - s values of its mirror.  R1 and R2 travel packed, R1 + i R2
-    (``moments._pack``), so one FFT gives both fields of a node and one
-    inverse FFT gives g^ + i h^.  ``box_radius`` is only the output window
-    and needs box_radius <= M/4 (``max_pair_window``); without a ``grid``
-    the grid is fitted for the largest time (``moments.fit_grid``).
-    ``boundary_mass`` is the largest ``moments._defect`` of R1 and R2 over
-    the nodes: their mass on the torus shell (some |x_k| >= 3M/8) or their
-    window-sum gap.  Within the output window every wrapped term of the
-    cyclic convolution has a factor on the shell, so the wrap-around error
-    is of the order of this mass.
+    The engine gives the factorial parts F_jl(t, 0, u) of E[N_j(0) N_l(u)]
+    (Harris & Roberts, "The many-to-few lemma and multiple spines", Ann.
+    IHP 2017); only infected particles branch, beta2 ordered pairs per unit
+    rate, so F11^ = beta2 int_0^t FT[R1(t - s) R1(s)] R1^(s) ds, and F12,
+    F22 likewise.  This reads (1, 1), (1, 2) and (2, 2) and adds the
+    single-particle terms: R11 = F11 + delta_{u0} R1(t, 0), R12 = F12,
+    R22 = F22 + delta_{u0} R2(t, 0).  ``box_radius`` is only the output
+    window, cut from the torus, and needs box_radius <= M/4
+    (``max_pair_window``); without a ``grid`` the grid is fitted for the
+    largest time (``moments.fit_grid``).  ``boundary_mass`` is the largest
+    ``moments._defect`` of R1 and R2 over the time nodes.  Within the
+    output window every wrapped term of the cyclic convolution has a factor
+    on the 3M/8 shell, so the wrap-around error is of the order of this
+    mass.
 
     The name is kept from the box ODE this route replaced, now
     ``correlation_box_ode``, because the benchmark wraps this function by
-    name; the signature is the ODE's plus ``grid``.  ``t`` may be a scalar
-    or an increasing sequence; one ``PairSlices`` per time is returned.
+    name.  ``t`` may be a scalar or an increasing sequence; one
+    ``PairSlices`` per time is returned.
     """
     times, scalar = _as_times(t)
     model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
     grid = grid or fit_grid([model], max(times), box_radius)
     window = _window(grid, box_radius)
-    dc = model.derived
-    coef, zero = theta_coefficients(model, grid), _origin_coefficients(model)
-    shell = _torus_shell(grid)
-
-    def node_sum(s, weights):
-        sym = _moment_symbols(coef, dc, s[:, None])[0]          # (R1^, R2^)(s)
-        f = torus_field(_pack(sym[0], sym[1]), grid)            # R1 + i R2
-        tot = _moment_symbols(zero, dc, s[:, None])[0, ..., 0]
-        mass = _defect(f, shell, _pack(tot[0], tot[1]))
-        gh = torus_symbols(f.real * _mirror_nodes(f, 0), grid)  # g^ + i h^
-        sym_r = _mirror_nodes(sym, 1)                           # at t - s
-        part = np.stack([gh.real * sym_r[0], gh.real * sym_r[1], gh.imag * sym_r[1]])
-        value = np.tensordot(part, weights[:, 0], axes=([1], [0]))
-        tails = np.tensordot(weights[:, 1:], part, axes=([0], [1]))
-        return law.beta2 * np.concatenate([value[None], tails]), mass
-
     out = []
     for tv in times:
-        pair, mass, converged = _doubling_quadrature(
-            tv, np.zeros((3, grid.n_points)), node_sum,
-            lambda sym: torus_field(sym, grid)[window])
-        r1, r2 = torus_field(_moment_symbols(coef, dc, tv)[0], grid)[window]
-        r11, r12, r22 = torus_field(pair, grid)[window]
+        pair, mass, converged = _many_to_two_symbols(model, tv, grid, [0], origin=True,
+                                                     window=window)
+        r1, r2 = torus_field(first_moment_symbols(model, tv, grid)[0], grid)[window]
+        r11, r12, r22 = torus_field(pair[0, [0, 0, 1], [0, 1, 1]], grid)[window]
         origin = (box_radius,) * model.dim
         r11[origin] += r1[origin]
         r22[origin] += r2[origin]
@@ -318,7 +256,7 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
             t=tv, box_radius=box_radius, dim=model.dim,
             r1=r1.ravel(), r2=r2.ravel(), r11=r11.ravel(), r12=r12.ravel(),
             r22=r22.ravel(), boundary_mass=mass, converged=converged,
-            degraded=mass > boundary_tol or not converged))
+            degraded=mass > BOUNDARY_TOL or not converged))
     return out[0] if scalar else out
 
 
@@ -374,8 +312,7 @@ def _full_jump_matrix(kernel: JumpKernel, box_radius: int) -> np.ndarray:
 
 
 def correlation_box_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
-                        kernel2: JumpKernel, kappa2: float, t, box_radius: int,
-                        boundary_tol: float = BOUNDARY_TOL):
+                        kernel2: JumpKernel, kappa2: float, t, box_radius: int):
     """Oracle: co-integrate {R1, R2, R11, R12, R22} on the truncated box.
 
     A small-box check of ``correlation_ode``, over full (x, y) pairs; the
@@ -445,5 +382,5 @@ def correlation_box_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
             t=tv, box_radius=box_radius, dim=kernel1.dim,
             r1=r1.copy(), r2=r2.copy(),
             r11=0.5 * (r11 + r11.T), r12=r12.copy(), r22=0.5 * (r22 + r22.T),
-            boundary_mass=flux, degraded=flux > boundary_tol))
+            boundary_mass=flux, degraded=flux > BOUNDARY_TOL))
     return out[0] if scalar else out

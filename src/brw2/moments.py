@@ -3,39 +3,47 @@
 Route one (fast path) solves the Fourier-space moment equations in closed
 form: for each theta the pair (m_1j, m_2j) obeys a constant-coefficient 2x2
 linear system with matrix [[a(theta), b], [c, d(theta)]], so the moment
-matrix in theta-space is exactly the fundamental solution U(t; theta), and
-second moments follow from Duhamel's formula
+matrix in theta-space is exactly the fundamental solution U(t; theta).
+Second moments come from one many-to-two integral (Harris & Roberts, "The
+many-to-few lemma and multiple spines", Ann. IHP 2017): a start-type-i
+ancestor runs for t - s to a type-k branching event, whose offspring pair
+(a, b) runs for s, with source sum_ab dens[k, a, b] m_aj(s) m_bl(s)
+(``_many_to_two_nodes``).  It is read on two slices.  The diagonal (x, x)
+is Duhamel's formula
 
     mhat2(t) = U(t) mhat2(0) + int_0^t U(t - s) f(s) ds,
 
 where the source f is a theta-convolution of first-moment symbols, computed
 here as the transform of the pointwise product of first-moment fields (the
 two are equal up to the shared truncation error, at O(N log N) cost per
-time node).  Symbols and fields meet in one transform: ``torus_field`` and
-``torus_symbols`` map between the symbols on the M^d theta grid and fields
-on the whole torus window [-M/2, M/2)^d by FFT, with no box.  A field's
-box radius is only an output window cut from the torus, at most M/4
-(``max_pair_window``).  Its truncation defect (``_defect``) reads the
-first-moment fields it is built from: the larger of their mass on the
-torus's outer shell and the gap between each field's torus sum and its
-exact lattice total.  M is fitted per call (``fit_grid``): the smallest
-FFT-friendly M that holds the output window and keeps the fields' tail
-beyond 3M/8 under BOUNDARY_TOL, capped at ``ThetaGrid.DEFAULT_NODES``; an
-explicit grid wins.  Kernels are symmetric, so every symbol and field is
-real, and two real fields share one complex FFT (``_pack``).  The
-integrand is smooth in s, so the time integral uses Gauss-Legendre nodes,
-doubling their number until a rule's own Legendre tail, its top two
-discrete Legendre coefficients, is below tolerance
-(``_doubling_quadrature``, shared with the epidemic pair route); no rule
-is computed only to be compared with the next.  The nodes on
-[0, t] are mirrored, s_{n-1-k} = t - s_k, and each block of nodes holds
-whole pairs, so U(t - s) at a node is U(s) at its mirror: every symbol is
-evaluated once per node.  Symbols over the whole grid come from per-axis
-phase tables (``lattice.fourier_symbol`` on a ``ThetaGrid``).
+time node).  The origin slice (0, u) transforms the product m_ik(t - s)
+m_aj(s) instead and multiplies by mhat_bl(s); it gives E[N_j(0) N_l(u)],
+the epidemic pair correlations.  Symbols and fields meet in one
+transform: ``torus_field`` and ``torus_symbols`` map between the symbols
+on the M^d theta grid and fields on the whole torus window
+[-M/2, M/2)^d by FFT, with no box.  A field's box radius is only an
+output window cut from the torus, at most M/4 (``max_pair_window``).  Its
+truncation defect (``_defect``) reads the first-moment fields it is built
+from: the larger of their mass on the torus's outer shell and the gap
+between each field's torus sum and its exact lattice total.  M is fitted
+per call (``fit_grid``): the smallest FFT-friendly M that holds the
+output window and keeps the fields' tail beyond 3M/8 under BOUNDARY_TOL,
+capped at ``ThetaGrid.DEFAULT_NODES``; an explicit grid wins.  Kernels
+are symmetric, so every symbol and field is real, and two real fields
+share one complex FFT (``_pack``).  The integrand is smooth in s, so the
+time integral uses Gauss-Legendre nodes, doubling their number until a
+rule's own Legendre tail, its top two discrete Legendre coefficients, is
+below tolerance (``_doubling_quadrature``); no rule is computed only to
+be compared with the next.  The nodes on [0, t] are mirrored,
+s_{n-1-k} = t - s_k, and each block of nodes holds whole pairs, so a
+symbol or field at t - s is the same at s on the mirror node: every one
+is evaluated once per node.  Symbols over the whole grid come from
+per-axis phase tables (``lattice.fourier_symbol`` on a ``ThetaGrid``).
 
 Type conversion (the infected/immune epidemic) is part of the branching
-law's derived constants, so the epidemic module reads its moments off this
-engine rather than carrying its own.
+law's derived constants, so the epidemic module reads its first moments,
+its M2 (the diagonal) and its pair correlations (the origin slice) off
+this engine rather than carrying its own.
 
 Route two (oracle path) integrates the same equations on a truncated box of
 the lattice with absorbing boundary, by an explicit adaptive Runge-Kutta
@@ -508,7 +516,7 @@ def _solve_chained(rhs, y0: np.ndarray, times: list[float],
 
 
 def _integrate_fields(model, rhs, y0, times, n, box_radius, n_fields, order,
-                      boundary_tol, value_offset=0):
+                      value_offset=0):
     dim = model.dim
     shape = (2, 2) + (2 * box_radius + 1,) * dim
     out = []
@@ -517,18 +525,17 @@ def _integrate_fields(model, rhs, y0, times, n, box_radius, n_fields, order,
         flux = float(np.abs(col[n_fields * n:]).max())
         out.append(MomentField(t=tv, box_radius=box_radius, order=order, dim=dim,
                                values=vals, boundary_mass=flux,
-                               degraded=flux > boundary_tol))
+                               degraded=flux > BOUNDARY_TOL))
     return out
 
 
-def first_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
-                            boundary_tol: float = BOUNDARY_TOL):
+def first_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int):
     """Oracle first-moment field(s) by method-of-lines on the truncated box.
 
     ``t`` may be a scalar or an increasing sequence of times; one field per
     time is returned (a single field for scalar input).  Jumps leaving the
     box are killed; their accumulated rate-weighted flux is the field's
-    ``boundary_mass`` and trips ``degraded`` above ``boundary_tol``.
+    ``boundary_mass`` and trips ``degraded`` above BOUNDARY_TOL.
     """
     times, scalar = _as_times(t)
     dc = model.derived
@@ -549,12 +556,11 @@ def first_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
     y0[0 * n + center] = 1.0          # m_11(0, x, 0) = delta_0(x)
     y0[3 * n + center] = 1.0          # m_22
     fields = _integrate_fields(model, rhs, y0, times, n, box_radius,
-                               n_fields=4, order=1, boundary_tol=boundary_tol)
+                               n_fields=4, order=1)
     return fields[0] if scalar else fields
 
 
-def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
-                             boundary_tol: float = BOUNDARY_TOL):
+def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int):
     """Oracle second-moment field(s); the order-1 system is co-integrated.
 
     The quadratic sources consume the co-integrated order-1 field at every
@@ -588,8 +594,7 @@ def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int,
     for base in (0, 3, 4, 7):         # deltas for m1_11, m1_22, m2_11, m2_22
         y0[base * n + center] = 1.0
     fields = _integrate_fields(model, rhs, y0, times, n, box_radius,
-                               n_fields=8, order=2, boundary_tol=boundary_tol,
-                               value_offset=4 * n)
+                               n_fields=8, order=2, value_offset=4 * n)
     return fields[0] if scalar else fields
 
 
@@ -609,7 +614,8 @@ def _mirror_nodes(block: np.ndarray, axis: int) -> np.ndarray:
 
 def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
                          ) -> tuple[np.ndarray, float, bool]:
-    """init + int_0^t f(s) ds by Gauss-Legendre nodes, doubled until converged.
+    """init + int_0^t f(s) ds by Gauss-Legendre nodes, doubled until converged;
+    the second-moment routes pass ``_many_to_two_nodes`` as ``node_sum``.
 
     Gauss-Legendre nodes on [0, t] are mirrored, s_{n-1-k} = t - s_k, so the
     rule is handed out in blocks of node pairs: ``node_sum(s, w)`` takes a
@@ -669,71 +675,105 @@ def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
     return value, mass, converged
 
 
-def _duhamel_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoefficients,
-                   zero: ThetaCoefficients, shell: np.ndarray, s_blk: np.ndarray,
-                   w_blk: np.ndarray) -> tuple[np.ndarray, float]:
-    """Weighted Duhamel integrand U(t - s) f(s) over one block of node pairs,
-    summed against each column of the (B, 3) weights ``w_blk``, and the
-    worst ``_defect`` of the first-moment fields it is built from.
+def _many_to_two_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoefficients,
+                       zero: ThetaCoefficients, shell: np.ndarray, starts: list[int],
+                       origin: bool, s_blk: np.ndarray, w_blk: np.ndarray
+                       ) -> tuple[np.ndarray, float]:
+    """The many-to-two integrand over one block of node pairs, summed
+    against each column of the (B, 3) weights ``w_blk``, and the worst
+    ``_defect`` of the first-moment fields it is built from.
+
+    A start-type-i ancestor (i in ``starts``) runs for t - s to a type-k
+    branching event, whose offspring pair (a, b) runs for s; the source is
+    sum_ab dens[k, a, b] m_aj(s) m_bl(s).  The slices differ in one
+    expression per (i, k):
+
+    - the diagonal (x, x), j = l: FT[sum_ab dens[k, a, b] m_aj m_bj](s)
+      times U_ik(t - s), rows (R, 2 [j], N);
+    - the origin slice (0, u): sum_a FT[m_ik(t - s) m_aj(s)] times
+      sum_b dens[k, a, b] m^_bl(s), rows (R, 2 [j], 2 [l], N).
 
     ``coef`` and ``zero`` hold the drift coefficients on the grid points
-    and at theta = 0, computed once per second-moment call.  U(s) is the
-    first-moment symbol, and U(t - s) is U at the mirror nodes.  Every
-    symbol and field is real, so the two counted types travel packed as one
-    complex array, m_a1 + i m_a2 (``_pack``), through both FFTs, U(t - s) f
-    and the weighted sums.  The source products are taken on the float
-    view, which multiplies real parts with real parts and imaginary with
-    imaginary, so they come out packed too: f_k1 + i f_k2.  Only the start
-    types a that some branching event produces (dens[k, a, b] > 0) are
-    transformed, so the defect covers just the fields that feed the source;
-    for the epidemic law that is start type 1, half the forward FFTs.
+    and at theta = 0, computed once per call.  U(s) is the first-moment
+    symbol, and a quantity at t - s is the same quantity at the mirror
+    node.  Every symbol and field is real, so the two counted types j
+    travel packed as one complex array, m_a1 + i m_a2 (``_pack``), through
+    both FFTs and the weighted sums; the diagonal's source products are
+    taken on the float view, which multiplies real parts with real parts
+    and imaginary with imaginary, so they come out packed too.  Only the
+    start types that some branching event produces (dens[k, a, b] > 0),
+    and on the origin slice the ``starts``, are transformed, so the defect
+    covers just the fields that enter the integrand.
     """
     dc = model.derived
     dens = dc.factorial_density
     n_blk, n_pts = len(s_blk), grid.n_points
     fed = np.flatnonzero(dens.any(axis=(0, 2)))
+    types = np.union1d(fed, starts) if origin else fed
     sym1 = _moment_symbols(coef, dc, s_blk[:, None])               # (2, 2, B, N)
-    m1 = torus_field(_pack(sym1[fed, 0], sym1[fed, 1]), grid)      # (F, B) + (M,)*d
-    tot = _moment_symbols(zero, dc, s_blk[:, None])[fed, ..., 0]   # (F, 2, B)
+    m1 = torus_field(_pack(sym1[types, 0], sym1[types, 1]), grid)  # (F, B) + (M,)*d
+    tot = _moment_symbols(zero, dc, s_blk[:, None])[types, ..., 0]  # (F, 2, B)
     mass = _defect(m1, shell, _pack(tot[:, 0], tot[:, 1]))
-    m = dict(zip(fed.tolist(), m1.view(np.float64)))
-    prods = {(a, b): m[a] * m[b] for a, b in ((0, 0), (1, 1), (0, 1))
-             if dens[:, a, b].any()}
-    del m1, m                        # the block's fields, freed before U f is formed
+    m = dict(zip(types.tolist(), m1))
+    if not origin:
+        m = {a: f.view(np.float64) for a, f in m.items()}
+        prods = {(a, b): m[a] * m[b] for a, b in ((0, 0), (1, 1), (0, 1))
+                 if dens[:, a, b].any()}
+        del m1, m                    # the block's fields, freed before U f is formed
     u = _mirror_nodes(sym1, axis=2)                                # U(t - s)
-    uf = np.zeros((n_blk, 2, n_pts), dtype=complex)                # (U f)_i1 + i (U f)_i2
-    for k in range(2):
-        if not dens[k].any():        # type k never branches: no source
-            continue
-        src = sum((1.0 if a == b else 2.0) * dens[k, a, b] * p
-                  for (a, b), p in prods.items())
-        fhat = torus_symbols(src.view(complex), grid)             # (B, N)
-        for i in range(2):
-            uf[:, i] += u[i, k] * fhat
-    part = np.tensordot(w_blk, uf.view(np.float64), axes=([0], [0]))   # (3, 2, 2N)
-    return np.moveaxis(part.reshape(3, 2, n_pts, 2), -1, 2), mass
+    acc = np.zeros((n_blk, len(starts)) + ((2,) if origin else ()) + (n_pts,), dtype=complex)
+    for k in np.flatnonzero(dens.any(axis=(1, 2))):                # branching types
+        if origin:
+            for r, i in enumerate(starts):
+                back = _mirror_nodes(m[i], 0)                      # m_i1 + i m_i2 at t - s
+                for a in np.flatnonzero(dens[k].any(axis=1)):
+                    ghat = torus_symbols((back.real, back.imag)[k] * m[a], grid)
+                    mb = np.tensordot(dens[k, a], sym1, 1)         # sum_b dens m^_bl(s)
+                    for l in range(2):
+                        acc[:, r, l] += ghat * mb[l]
+        else:
+            fhat = torus_symbols(sum((1.0 if a == b else 2.0) * dens[k, a, b] * p
+                                     for (a, b), p in prods.items()).view(complex), grid)
+            for r, i in enumerate(starts):
+                acc[:, r] += u[i, k] * fhat
+    part = np.tensordot(w_blk, acc.view(np.float64), axes=([0], [0]))
+    return np.moveaxis(part.reshape(part.shape[:-1] + (n_pts, 2)), -1, 2), mass
 
 
-def _second_moment_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid,
-                           window=Ellipsis) -> tuple[np.ndarray, float, bool]:
-    """mhat^(2)(t, theta, 0), the worst ``_defect`` of the first-moment
-    fields inside the integral, and whether the quadrature converged.
+def _many_to_two_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid, starts: list[int],
+                         origin: bool = False, window=Ellipsis
+                         ) -> tuple[np.ndarray, float, bool]:
+    """Symbols of the many-to-two moments of the start types ``starts``
+    (0-based), the worst ``_defect`` of the first-moment fields inside the
+    integral, and whether the quadrature converged.
 
-    The homogeneous part U(t) applied to the delta initial data plus the
-    Duhamel integral, by ``_doubling_quadrature`` on the torus fields; its
-    tail test reads the torus field on ``window`` (default: all of it).  A
-    law with no branching has no integral.
+    On the diagonal they are mhat^(2)_{ij}(t, theta, 0) of E[N_j(x)^2],
+    shape (R, 2, N): the homogeneous part U(t) applied to the delta
+    initial data plus the Duhamel integral.  On the origin slice they are
+    the factorial moments F_jl(t, 0, u) = E[N_j(0) N_l(u)] - delta_{jl}
+    delta_{u0} m_ij(t, 0), shape (R, 2, 2, N), the integral alone.  The
+    integral is ``_doubling_quadrature`` over ``_many_to_two_nodes``; its
+    tail test reads the torus field on ``window`` (default: all of it).  On
+    the diagonal a law with no branching has no integral.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     coef = theta_coefficients(model, grid)
     dc = model.derived
-    if t == 0.0 or not dc.factorial_density.any():
-        return _moment_symbols(coef, dc, t), 0.0, True
-    init = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t)
+    # the origin slice integrates a law with no branching too, so that its
+    # defect still reads the first-moment fields its callers add back
+    integrate = t > 0.0 and (origin or dc.factorial_density.any())
+    if origin:
+        init = np.zeros((len(starts), 2, 2, grid.n_points))
+    elif integrate:
+        init = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t)[starts]
+    else:
+        init = _moment_symbols(coef, dc, t)[starts]
+    if not integrate:
+        return init, 0.0, True
     return _doubling_quadrature(
-        t, init, partial(_duhamel_nodes, model, grid, coef, _origin_coefficients(model),
-                         _torus_shell(grid)),
+        t, init, partial(_many_to_two_nodes, model, grid, coef, _origin_coefficients(model),
+                         _torus_shell(grid), starts, origin),
         lambda sym: torus_field(sym, grid)[window])
 
 
@@ -751,7 +791,7 @@ def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,
     """
     grid = grid or fit_grid([model], t, box_radius)
     window = _window(grid, box_radius)
-    sym2, mass, converged = _second_moment_symbols(model, t, grid, window)
+    sym2, mass, converged = _many_to_two_symbols(model, t, grid, [0, 1], window=window)
     return MomentField(t=t, box_radius=box_radius, order=2, dim=model.dim,
                        values=_clip_roundoff(torus_field(sym2, grid)[window]),
                        boundary_mass=mass, degraded=mass > BOUNDARY_TOL or not converged,

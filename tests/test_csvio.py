@@ -200,7 +200,7 @@ GOLDEN = {
         "epidemic.csv":
             "a9388048dd0843295c575c04ae3f4b8b86964105df56eb8ed5b01118ae27421a",
         "corr.csv":
-            "a171e18da790e3b5197f61062e11ba864d015b16816ea89d46559e1bdea921e7"}),
+            "c16f9f24499cbead98ddb0d2c085203ebac8c71ffc574bf5a0bf2113de455dce"}),
     "cells": (["--config", CELLS_D2], {
         "cells.csv":
             "12f2b395d7c674a855b8cc9c98bb09acf7892fc61e993dcd41cdfc2c3cacdeb5"}),

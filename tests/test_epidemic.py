@@ -8,8 +8,7 @@ import pytest
 from brw2.branching import TwoTypeModel
 from brw2.config import preset
 from brw2.epidemic import (EpidemicLaw, correlation_box_ode, correlation_ode,
-                           epidemic_first_moment_profiles, epidemic_m2,
-                           intermittency_ratio, max_pair_window)
+                           epidemic_first_moment_profiles, epidemic_m2, max_pair_window)
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
 from brw2.moments import (BOUNDARY_TOL, ODE_ATOL, _phase_sum, first_moment_ode_oracle,
@@ -135,30 +134,14 @@ class TestSecondMoment:
         m2f = second_moment_ode_oracle(model, 2.0, 25).values[0, 0]
         assert (m2f - m1f >= -1e-10).all()
 
-
-class TestIntermittencyRatio:
-    def test_pure_walk_ratio_is_inverse_m1(self):
-        # N in {0, 1}: E N^2 = E N, ratio = 1 / M1 = 1 / p >= 1, growing ~ sqrt(t)
-        law = EpidemicLaw(mu1=0.0, mu2=0.0, infection_rates={})
-        grid = ThetaGrid.for_dim(1)
-        pts = intermittency_ratio(law, K1, 1.0, [2.0, 8.0, 32.0], 0, 0, grid)
-        for pt in pts:
-            p = transition_probability(K1, 1.0, pt.t, 0, 0, grid)
-            npt.assert_allclose(pt.ratio, 1.0 / p, rtol=1e-10)
-            assert pt.ratio >= 1.0
-        assert pts[0].ratio < pts[1].ratio < pts[2].ratio
-
-    def test_sqrt_regime_metadata(self):
-        law = immune_law()
-        pts = intermittency_ratio(law, K1, 1.0, [4.0], 0, 3, regime_c=2.0)
-        assert pts[0].in_sqrt_regime       # |x-y| = 3 <= 2 sqrt(4)
-        far = intermittency_ratio(law, K1, 1.0, [4.0], 0, 9, regime_c=2.0)
-        assert not far[0].in_sqrt_regime
-
     def test_supercritical_ratio_bounded(self):
+        # M2 / M1^2 at the origin, as in the ``ratio`` column of epidemic.csv
         law = supercritical_law()
-        pts = intermittency_ratio(law, K1, 1.0, [10.0, 20.0, 40.0], 0, 0)
-        ratios = [pt.ratio for pt in pts]
+        ratios = []
+        for t in (10.0, 20.0, 40.0):
+            m2 = epidemic_m2(law, K1, 1.0, t, 0, 0)
+            r1, _ = epidemic_first_moment_profiles(law, K1, 1.0, K1, 1.0, t, 0)
+            ratios.append(m2.value / r1[0] ** 2)
         assert max(ratios) / min(ratios) < 2.0
 
 
@@ -296,6 +279,12 @@ class TestCorrelations:
         cfg = preset("fig-z2")
         fld = correlation_ode(cfg.build_epidemic_law(), cfg.build_kernel(1), 1.0,
                               cfg.build_kernel(2), 1.0, 4.0, 4, grid=ThetaGrid(2, 16))
+        assert fld.boundary_mass > BOUNDARY_TOL
+        assert fld.degraded
+        # without infection there is nothing to integrate, but R11 = R1 at
+        # the origin still comes from the aliased first-moment field
+        walk = EpidemicLaw(mu1=0.0, mu2=0.0, infection_rates={})
+        fld = correlation_ode(walk, K1, 1.0, K1, 1.0, 20.0, 4, grid=ThetaGrid(1, 16))
         assert fld.boundary_mass > BOUNDARY_TOL
         assert fld.degraded
 

@@ -188,6 +188,23 @@ class TestSecondMoments:
             fou = second_moment_field(model, t, 25)
             npt.assert_allclose(fou.total(1, 1), expect, atol=1e-5)
 
+    @pytest.mark.parametrize("name", CASES)
+    def test_origin_slice_meets_the_diagonal(self, name):
+        # E[N_j(0)^2] two ways: the origin slice's factorial part at u = 0
+        # plus m_ij(t, 0), and the diagonal.  Across the four laws the
+        # offspring pair (a, b) takes (1, 1), (2, 2) and (1, 2); the epidemic
+        # law has a = b = 1 only, so its tests cannot tell a from b
+        model, t = model_case(name), 2.0
+        grid = fit_grid([model], t, 0)
+        diag, _, diag_ok = moments._many_to_two_symbols(model, t, grid, [0, 1])
+        pair, _, pair_ok = moments._many_to_two_symbols(model, t, grid, [0, 1], origin=True)
+        m1 = first_moment_symbols(model, t, grid)
+        assert diag_ok and pair_ok
+        origin = _phase_sum(np.diagonal(pair, axis1=1, axis2=2).swapaxes(1, 2) + m1, grid, (0,))
+        expect = _phase_sum(diag, grid, (0,))
+        # the floor is for the entries that vanish, m_12 = 0 when b = 0
+        npt.assert_allclose(origin, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
     def test_route_parity(self):
         model = model_case("b+c+")
         t = 1.0
