@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from brw2.branching import BranchingLaw, TwoTypeModel
-from brw2.epidemic import EpidemicLaw, correlation_box_ode, correlation_ode
+from brw2.epidemic import correlation_box_ode, correlation_ode
 from brw2.lattice import simple_kernel, uniform_range_kernel
 from brw2.moments import (first_moment_field, first_moment_ode_oracle,
                           second_moment_field, second_moment_ode_oracle)
@@ -36,11 +36,11 @@ CASES = {
                            conversion_rate=0.45),
 }
 
+# infected/immune laws: type-1 entries beta1(n, 0) plus conversion
 PAIR_CASES = {
-    "fig-z2": EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
-                          conversion_rate=0.45),
-    "n=2,3": EpidemicLaw(mu1=0.05, mu2=0.1, infection_rates={2: 0.5, 3: 0.2},
-                         conversion_rate=0.3),
+    "fig-z2": CASES["fig-z2"],
+    "n=2,3": BranchingLaw(mu1=0.05, mu2=0.1, beta1={(2, 0): 0.5, (3, 0): 0.2},
+                          conversion_rate=0.3),
 }
 PAIR_BOX = 16           # pair ODE oracle box radius; its states grow as L^(2d)
 PAIR_MARGIN = 4
@@ -57,19 +57,20 @@ def pair_rows(times) -> None:
     print(f"{'pair case':>10} {'t':>5} {'rel d R11':>12} {'rel d R12':>12} "
           f"{'rel d R22':>12} {'flux':>9}")
     for name, law in PAIR_CASES.items():
-        oracle = correlation_box_ode(law, k1, 1.0, k2, 1.5, times, PAIR_BOX)
-        fields = correlation_ode(law, k1, 1.0, k2, 1.5, times, PAIR_BOX - PAIR_MARGIN)
+        model = TwoTypeModel(k1, k2, 1.0, 1.5, law)
+        oracle = correlation_box_ode(model, times, PAIR_BOX)
+        fields = correlation_ode(model, times, PAIR_BOX - PAIR_MARGIN)
         for ora, fld in zip(oracle, fields):
             d = [_rel(getattr(fld, n), ora.u_slice(n)[inner]) for n in ("r11", "r12", "r22")]
             print(f"{name:>10} {ora.t:>5.1f} {d[0]:>12.2e} {d[1]:>12.2e} {d[2]:>12.2e} "
                   f"{ora.boundary_mass:>9.1e}")
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--box", type=int, default=30)
     ap.add_argument("--times", default="0.5,1,2,5")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     times = [float(t) for t in args.times.split(",")]
     k1, k2 = simple_kernel(1), uniform_range_kernel(1, 2)
     print(f"{'case':>10} {'t':>5} {'|d m1|_inf':>12} {'rel d m2':>12} {'flux':>9}")

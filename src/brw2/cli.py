@@ -29,15 +29,14 @@ from .clusters import cell_stats_2d, cluster_stats_1d, occupied_sites_1d, \
 from .config import ConfigError, RunConfig, config_hash, parse_config, preset, \
     PRESET_NAMES
 from .csvio import Table, write_csv, write_manifest
-from .epidemic import M1_FLOOR, correlation_ode, epidemic_first_moment_profiles, \
-    epidemic_m2
-from .branching import TwoTypeModel
+from .epidemic import correlation_ode, epidemic_first_moment_profiles, epidemic_m2
 from .moments import (box_sites, first_moment_field, first_moment_ode_oracle, fit_grid,
                       max_pair_window, second_moment_field, second_moment_ode_oracle)
 from .simulate import FATE_BRANCHED, FATE_JUMPED, FATE_NAMES, SimulationRun, \
     map_replicas, snapshot
 
 CLI_MAX_DIM = 3
+M1_FLOOR = 1e-280        # epidemic.csv's ratio is NaN where R1(t, 0) is below this
 
 
 def _load_config(args) -> RunConfig:
@@ -130,18 +129,18 @@ def command_simulate(cfg: RunConfig) -> int:
     return 0 if len(failures) < exp.replicas else 1
 
 
-def _command_grid(cfg: RunConfig, models, keys):
+def _command_grid(cfg: RunConfig, model, keys):
     """The command's one theta grid and its manifest entry.
 
-    ``grid_nodes`` (``--grid``) wins; otherwise the grid is fitted over
-    ``models`` at the largest time and the largest output window
+    ``grid_nodes`` (``--grid``) wins; otherwise the grid is fitted to
+    ``model`` at the largest time and the largest output window
     (``moments.fit_grid``).  An output window the torus cannot hold is
     refused before any work or output: each radius in ``keys`` must be at
     most ``max_pair_window``.
     """
     exp = cfg.experiment
     window = max(getattr(exp, key) for key in keys)
-    grid = cfg.build_grid() or fit_grid(models, max(exp.t_list), window)
+    grid = cfg.build_grid() or fit_grid(model, max(exp.t_list), window)
     for key in keys:
         radius = getattr(exp, key)
         if radius > max_pair_window(grid.nodes_per_axis):
@@ -156,7 +155,7 @@ def command_moments(cfg: RunConfig) -> int:
     model = cfg.build_model()
     exp = cfg.experiment
     out = Path(exp.out_dir)
-    grid, grid_entry = _command_grid(cfg, [model], ("box_radius",))
+    grid, grid_entry = _command_grid(cfg, model, ("box_radius",))
     times = sorted(set(exp.t_list))
     ode1 = first_moment_ode_oracle(model, times, exp.box_radius)
     ode2 = second_moment_ode_oracle(model, times, exp.box_radius)
@@ -244,20 +243,16 @@ def command_clusters(cfg: RunConfig) -> int:
 
 
 def command_epidemic(cfg: RunConfig) -> int:
-    law = cfg.build_epidemic_law()
+    cfg.build_epidemic_law()             # a ConfigError for a non-epidemic law
+    model = cfg.build_model()
     exp = cfg.experiment
     out = Path(exp.out_dir)
-    k1, k2 = cfg.build_kernel(1), cfg.build_kernel(2)
-    # the M2 model walks both types by kernel1; the pair model is the law itself
-    models = [TwoTypeModel(k1, k1, cfg.kappa1, cfg.kappa1, law.to_branching_law()),
-              TwoTypeModel(k1, k2, cfg.kappa1, cfg.kappa2, law.to_branching_law())]
-    grid, grid_entry = _command_grid(cfg, models, ("corr_box_radius", "box_radius"))
+    grid, grid_entry = _command_grid(cfg, model, ("corr_box_radius", "box_radius"))
     sites = box_sites(exp.box_radius, cfg.dim)
     parts = []
     for t in sorted(set(exp.t_list)):
-        r1, r2 = epidemic_first_moment_profiles(law, k1, cfg.kappa1, k2, cfg.kappa2,
-                                                t, exp.box_radius, grid)
-        m2 = epidemic_m2(law, k1, cfg.kappa1, t, (0,) * cfg.dim, (0,) * cfg.dim, grid)
+        r1, r2 = epidemic_first_moment_profiles(model, t, exp.box_radius, grid)
+        m2 = epidemic_m2(model, t, (0,) * cfg.dim, (0,) * cfg.dim, grid)
         m1_diag = float(r1[(exp.box_radius,) * cfg.dim])
         ratio = m2.value / m1_diag ** 2 if m1_diag > M1_FLOOR else float("nan")
         parts.append(_table(len(sites), t, *sites.T, r1.reshape(-1), r2.reshape(-1),
@@ -267,8 +262,7 @@ def command_epidemic(cfg: RunConfig) -> int:
     write_csv(out / "epidemic.csv", hdr, Table.concat(parts, len(hdr)))
 
     corr_sites = box_sites(exp.corr_box_radius, cfg.dim)
-    fields = correlation_ode(law, k1, cfg.kappa1, k2, cfg.kappa2,
-                             sorted(set(exp.t_list)), exp.corr_box_radius, grid=grid)
+    fields = correlation_ode(model, sorted(set(exp.t_list)), exp.corr_box_radius, grid=grid)
     parts = [_table(len(corr_sites), fld.t, *corr_sites.T, fld.r11, fld.r12, fld.r22,
                     fld.boundary_mass, fld.degraded) for fld in fields]
     hdr = ["t", *[f"u{k + 1}" for k in range(cfg.dim)], "R11", "R12", "R22",

@@ -19,7 +19,6 @@ from typing import Any
 import yaml
 
 from .branching import BranchingLaw, LawError, TwoTypeModel
-from .epidemic import EpidemicLaw
 from .lattice import JumpKernel, KernelError, ThetaGrid
 
 __all__ = [
@@ -97,18 +96,17 @@ class RunConfig:
         return TwoTypeModel(self.build_kernel(1), self.build_kernel(2),
                             self.kappa1, self.kappa2, self.build_law())
 
-    def build_epidemic_law(self) -> EpidemicLaw:
+    def build_epidemic_law(self) -> BranchingLaw:
+        """The branching law, refused unless it is an infected/immune law:
+        type-1 entries beta1(n, 0) only and no type-2 branching."""
         if self.law.beta2:
             raise ConfigError("model.law.beta2",
                               "epidemic law requires beta2 to be empty")
-        rates = {}
-        for k, l, r in self.law.beta1:
+        for k, l, _ in self.law.beta1:
             if l != 0:
                 raise ConfigError("model.law.beta1",
                                   f"epidemic law allows only (n, 0) entries, got ({k},{l})")
-            rates[k] = r
-        return EpidemicLaw(mu1=self.law.mu1, mu2=self.law.mu2, infection_rates=rates,
-                           conversion_rate=self.law.conversion_rate)
+        return self.build_law()
 
     def build_grid(self) -> ThetaGrid | None:
         """The explicit theta grid of ``grid_nodes``, or None when it is

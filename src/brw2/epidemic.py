@@ -2,22 +2,25 @@
 
 Type 1 (infected) particles walk, die at rate mu1, infect n - 1 new
 particles at rate b_n, and build immunity (convert to type 2) at rate r;
-type 2 (immune) particles only walk and die.  With
+type 2 (immune) particles only walk and die.  This is a ``BranchingLaw``
+with type-1 entries beta_1(n, 0) = b_n, no type-2 entries and conversion
+rate r, run as a ``TwoTypeModel``; every route here takes that model.  Its
+derived constants (``derive_constants``) carry the epidemic's scalars:
 
-    beta = sum (n - 1) b_n,     beta2 = sum n (n - 1) b_n,
-    A    = beta - mu1 - r,
+    r1 = sum (n - 1) b_n - mu1 - r    the infected growth rate A,
+    b  = r,  c = 0,  r2 = -mu2,
+    dens[0, 0, 0] = sum n (n - 1) b_n,
 
-this is the two-type law beta_1(n, 0) = b_n with conversion rate r, for
-which the generic moment engine has r1 = A, b = r and c = 0.  Its moments
-are views of ``brw2.moments`` read at start type 1 (one infected at the
-origin): the first moments R1 = m_11 and R2 = m_12; the second moment
-of the infected count
+the last the ordered infected pairs born per unit rate.  Its moments are
+views of ``brw2.moments`` read at start type 1 (one infected at the
+origin): the first moments R1 = m_11 and R2 = m_12; the second moment of
+the infected count
 
-    M2(t,x,y) = M1(t,x,y) + beta2 int_0^t sum_w M1(t-s,x,w) M1^2(s,w,y) ds,
+    M2(t,x,y) = M1(t,x,y) + dens[0,0,0] int_0^t sum_w M1(t-s,x,w) M1^2(s,w,y) ds,
 
 the many-to-two diagonal (``epidemic_m2``); and the pair correlations R11,
 R12, R22 at (0, u), its origin slice (``correlation_ode``).
-``moments.second_moment_ode_oracle`` on the same law is the independent
+``moments.second_moment_ode_oracle`` on the same model is the independent
 box-ODE check of M2.  The pair correlations' independent check is the
 linear ODE system they close into, integrated over full (x, y) boxes
 (``correlation_box_ode``): the single-particle initial condition
@@ -37,15 +40,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .branching import BranchingLaw, TwoTypeModel
+from .branching import TwoTypeModel
 from .lattice import JumpKernel, ThetaGrid
 from .moments import (BOUNDARY_TOL, _as_times, _clip_roundoff, _first_moment_torus,
                       _many_to_two_symbols, _phase_sum, _solve_chained, _window, box_sites,
-                      build_box_generator, first_moment_symbols, fit_grid, max_pair_window,
-                      torus_field)
+                      build_box_generator, first_moment_symbols, fit_grid, torus_field)
 
 __all__ = [
-    "EpidemicLaw",
     "CorrelationField",
     "PairSlices",
     "M2Value",
@@ -53,56 +54,7 @@ __all__ = [
     "epidemic_m2",
     "correlation_ode",
     "correlation_box_ode",
-    "max_pair_window",
 ]
-
-M1_FLOOR = 1e-280
-
-
-@dataclass(frozen=True)
-class EpidemicLaw:
-    """Infection intensities b_n (n >= 2), death rates, and conversion rate."""
-
-    mu1: float
-    mu2: float
-    infection_rates: tuple[tuple[int, float], ...]
-    conversion_rate: float
-    beta: float = field(init=False)
-    beta2: float = field(init=False)
-    growth: float = field(init=False)    # A = beta - mu1 - r
-
-    def __init__(self, mu1: float, mu2: float, infection_rates,
-                 conversion_rate: float = 0.0):
-        mu1, mu2, r = float(mu1), float(mu2), float(conversion_rate)
-        for name, v in (("mu1", mu1), ("mu2", mu2), ("conversion_rate", r)):
-            if v < 0 or not math.isfinite(v):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        rates = []
-        for n, bn in dict(infection_rates).items():
-            n, bn = int(n), float(bn)
-            if n < 2:
-                raise ValueError(f"infection entry n={n}: requires n >= 2")
-            if bn < 0 or not math.isfinite(bn):
-                raise ValueError(f"infection rate b_{n} must be finite and >= 0")
-            if bn > 0:
-                rates.append((n, bn))
-        rates = tuple(sorted(rates))
-        beta = sum((n - 1) * bn for n, bn in rates)
-        beta2 = sum(n * (n - 1) * bn for n, bn in rates)
-        object.__setattr__(self, "mu1", mu1)
-        object.__setattr__(self, "mu2", mu2)
-        object.__setattr__(self, "infection_rates", rates)
-        object.__setattr__(self, "conversion_rate", r)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "beta2", beta2)
-        object.__setattr__(self, "growth", beta - mu1 - r)
-
-    def to_branching_law(self) -> BranchingLaw:
-        """Map onto the generic engine: beta_1(n, 0) = b_n, beta_2 = 0."""
-        return BranchingLaw(
-            mu1=self.mu1, mu2=self.mu2,
-            beta1={(n, 0): bn for n, bn in self.infection_rates},
-            beta2={}, conversion_rate=self.conversion_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +70,18 @@ def _reach(u: np.ndarray) -> int:
     return math.ceil(np.abs(u).max())
 
 
-def epidemic_first_moment_profiles(law: EpidemicLaw, kernel1: JumpKernel,
-                                   kappa1: float, kernel2: JumpKernel, kappa2: float,
-                                   t: float, box_radius: int,
+def epidemic_first_moment_profiles(model: TwoTypeModel, t: float, box_radius: int,
                                    grid: ThetaGrid | None = None):
     """(R1, R2) fields on the output window |x_k| <= box_radius, started from
     one infected at the origin.
 
     R1 = m_11 and R2 = m_12 of the generic engine: R1hat = e^{pt} and
-    R2hat = r (e^{pt} - e^{qt}) / (p - q) with p = kappa1 ahat1 + A and
-    q = kappa2 ahat2 - mu2.  The window is cut from the torus fields and
+    R2hat = b (e^{pt} - e^{qt}) / (p - q) with p = kappa1 ahat1 + r1 and
+    q = kappa2 ahat2 + r2.  The window is cut from the torus fields and
     may reach ``max_pair_window``.  Without a ``grid`` the grid is fitted
     (``moments.fit_grid``).
     """
-    model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
-    grid = grid or fit_grid([model], t, box_radius)
+    grid = grid or fit_grid(model, t, box_radius)
     window = _window(grid, box_radius)
     m1 = _clip_roundoff(_first_moment_torus(model, t, grid)[0][window])
     return m1[0], m1[1]
@@ -144,25 +93,21 @@ class M2Value(NamedTuple):
     degraded: bool
 
 
-def epidemic_m2(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float, t: float,
-                x, y, grid: ThetaGrid | None = None) -> M2Value:
+def epidemic_m2(model: TwoTypeModel, t: float, x, y,
+                grid: ThetaGrid | None = None) -> M2Value:
     """M2(t, x, y) = m^(2)_11(t, y - x), start row 1 of the moment engine's
-    many-to-two diagonal (``moments._many_to_two_symbols``).
-
-    Immune particles never infect, so the type-2 walk does not enter m_11
-    and kernel1 stands in for it; only the infected start row is
-    integrated.  The symbol is summed against the cosine phase of u = y - x,
-    so u need not lie in any window; the quadrature's tail test reads the
-    whole torus field.  This integral is kept apart from the origin slice
+    many-to-two diagonal (``moments._many_to_two_symbols``); only the
+    infected start row is integrated.  The symbol is summed against the
+    cosine phase of u = y - x, so u need not lie in any window; the
+    quadrature's tail test reads the whole torus field.  This integral is kept apart from the origin slice
     that gives R11(t, 0, 0) (``correlation_ode``), so the two stay
     independent routes to one value.  ``boundary_mass`` is the worst
     ``_defect`` of the first-moment fields over the time nodes; ``degraded``
     also flags a quadrature that hit its node cap.  Without a ``grid`` the
     grid is fitted to the window of radius max |u_k| (``moments.fit_grid``).
     """
-    model = TwoTypeModel(kernel1, kernel1, kappa1, kappa1, law.to_branching_law())
     u = np.asarray(_vec(y), dtype=np.float64) - np.asarray(_vec(x), dtype=np.float64)
-    grid = grid or fit_grid([model], t, _reach(u))
+    grid = grid or fit_grid(model, t, _reach(u))
     sym2, mass, converged = _many_to_two_symbols(model, t, grid, [0])
     return M2Value(value=float(_phase_sum(sym2[0, 0], grid, u)), boundary_mass=mass,
                    degraded=mass > BOUNDARY_TOL or not converged)
@@ -213,16 +158,15 @@ class PairSlices:
         return float(getattr(self, name)[_flat_index(u, self.box_radius)])
 
 
-def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
-                    kernel2: JumpKernel, kappa2: float, t, box_radius: int,
+def correlation_ode(model: TwoTypeModel, t, box_radius: int,
                     grid: ThetaGrid | None = None):
     """Pair correlations R_ij(t, 0, u), start row 1 of the moment engine's
     many-to-two origin slice (``moments._many_to_two_symbols``).
 
     The engine gives the factorial parts F_jl(t, 0, u) of E[N_j(0) N_l(u)]
     (Harris & Roberts, "The many-to-few lemma and multiple spines", Ann.
-    IHP 2017); only infected particles branch, beta2 ordered pairs per unit
-    rate, so F11^ = beta2 int_0^t FT[R1(t - s) R1(s)] R1^(s) ds, and F12,
+    IHP 2017); only infected particles branch, dens[0, 0, 0] ordered pairs
+    per unit rate, so F11^ = dens[0, 0, 0] int_0^t FT[R1(t - s) R1(s)] R1^(s) ds, and F12,
     F22 likewise.  This reads (1, 1), (1, 2) and (2, 2) and adds the
     single-particle terms: R11 = F11 + delta_{u0} R1(t, 0), R12 = F12,
     R22 = F22 + delta_{u0} R2(t, 0).  ``box_radius`` is only the output
@@ -240,8 +184,7 @@ def correlation_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     ``PairSlices`` per time is returned.
     """
     times, scalar = _as_times(t)
-    model = TwoTypeModel(kernel1, kernel2, kappa1, kappa2, law.to_branching_law())
-    grid = grid or fit_grid([model], max(times), box_radius)
+    grid = grid or fit_grid(model, max(times), box_radius)
     window = _window(grid, box_radius)
     out = []
     for tv in times:
@@ -311,16 +254,19 @@ def _full_jump_matrix(kernel: JumpKernel, box_radius: int) -> np.ndarray:
     return out
 
 
-def correlation_box_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
-                        kernel2: JumpKernel, kappa2: float, t, box_radius: int):
+def correlation_box_ode(model: TwoTypeModel, t, box_radius: int):
     """Oracle: co-integrate {R1, R2, R11, R12, R22} on the truncated box.
 
     A small-box check of ``correlation_ode``, over full (x, y) pairs; the
     rate-weighted flux killed at the box edge is the fields'
     ``boundary_mass``.
 
+    The system is closed for the epidemic law only: type-1 entries
+    beta_1(n, 0), no type-2 branching.  Any other law raises ValueError.
+    Its rates are the model's derived constants: growth A = r1, conversion
+    r = b, immune death mu2 = -r2, and pair births beta2 = dens[0, 0, 0].
     The diagonal sources follow the forward-equation derivation validated
-    against Monte Carlo: with q = beta2 - beta + mu1 + r,
+    against Monte Carlo: with q = beta2 - A,
 
         dR11 has delta_x(y) [q R1 + (L1 R1)(x)] and the off-diagonal
         correction -kappa1 a1(x - y) (R1(x) + R1(y)) taken with a1(0) = -1
@@ -328,15 +274,20 @@ def correlation_box_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
 
     and symmetrically for R22 with source [(L2 R2)(x) + mu2 R2 + r R1].
     """
+    law = model.law
+    if law.beta2 or any(l for _, l, _ in law.beta1):
+        raise ValueError("the pair box ODE needs an epidemic law: type-1 entries "
+                         "beta1(n, 0) only and no type-2 branching")
     times, scalar = _as_times(t)
-    op1, out1 = build_box_generator(kernel1, kappa1, box_radius)
-    op2, out2 = build_box_generator(kernel2, kappa2, box_radius)
-    af1 = kappa1 * _full_jump_matrix(kernel1, box_radius)
-    af2 = kappa2 * _full_jump_matrix(kernel2, box_radius)
+    op1, out1 = build_box_generator(model.kernel1, model.kappa1, box_radius)
+    op2, out2 = build_box_generator(model.kernel2, model.kappa2, box_radius)
+    af1 = model.kappa1 * _full_jump_matrix(model.kernel1, box_radius)
+    af2 = model.kappa2 * _full_jump_matrix(model.kernel2, box_radius)
     n = op1.shape[0]
     center = (n - 1) // 2
-    a_gr, mu2, r = law.growth, law.mu2, law.conversion_rate
-    q_diag = law.beta2 - law.beta + law.mu1 + r
+    dc = model.derived
+    a_gr, mu2, r = dc.r1, -dc.r2, dc.b
+    q_diag = dc.factorial_density[0, 0, 0] - a_gr
     op2t = op2.T.tocsr()
 
     def unpack(yv):
@@ -372,14 +323,14 @@ def correlation_box_ode(law: EpidemicLaw, kernel1: JumpKernel, kappa1: float,
     y0 = np.zeros(2 * n + 3 * n * n + 1)
     y0[center] = 1.0
     y0[2 * n + center * n + center] = 1.0      # R11(0) = delta_0(x) delta_0(y)
-    states = _solve_chained(rhs, y0, times,
-                            max_step=4.0 / (kappa1 + kappa2 + abs(a_gr) + mu2 + r + 1.0))
+    states = _solve_chained(rhs, y0, times, max_step=4.0 / (
+        model.kappa1 + model.kappa2 + abs(a_gr) + mu2 + r + 1.0))
     out = []
     for tv, col in zip(times, states):
         r1, r2, r11, r12, r22 = unpack(col)
         flux = float(abs(col[-1]))
         out.append(CorrelationField(
-            t=tv, box_radius=box_radius, dim=kernel1.dim,
+            t=tv, box_radius=box_radius, dim=model.dim,
             r1=r1.copy(), r2=r2.copy(),
             r11=0.5 * (r11 + r11.T), r12=r12.copy(), r22=0.5 * (r22 + r22.T),
             boundary_mass=flux, degraded=flux > BOUNDARY_TOL))

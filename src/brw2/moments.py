@@ -369,7 +369,7 @@ def first_moment_field(model: TwoTypeModel, t: float, box_radius: int,
     from the torus field; ``boundary_mass`` is that field's defect
     (``_defect``).  Without a ``grid`` the grid is fitted (``fit_grid``).
     """
-    grid = grid or fit_grid([model], t, box_radius)
+    grid = grid or fit_grid(model, t, box_radius)
     window = _window(grid, box_radius)
     m1 = _first_moment_torus(model, t, grid)
     mass = _defect(m1, _torus_shell(grid),
@@ -396,8 +396,8 @@ def _five_smooth(n: int) -> bool:
     return n == 1
 
 
-def fit_grid(models, t_max: float, window: int) -> ThetaGrid:
-    """The smallest theta grid for the Fourier fields of ``models`` up to
+def fit_grid(model: TwoTypeModel, t_max: float, window: int) -> ThetaGrid:
+    """The smallest theta grid for the Fourier fields of ``model`` up to
     time ``t_max`` on output windows of radius ``window``.
 
     M is the smallest 5-smooth even M >= 4 window (``max_pair_window``)
@@ -412,7 +412,7 @@ def fit_grid(models, t_max: float, window: int) -> ThetaGrid:
     the sampled times, as a fast-dying walk's can, may be fitted a grid on
     which a route reports it ``degraded``; the routes' defect still holds.
     """
-    dim = models[0].dim
+    dim = model.dim
     cap = ThetaGrid.for_dim(dim)
     sizes = [m for m in range(max(2, 4 * window), cap.nodes_per_axis, 2) if _five_smooth(m)]
     if not sizes:
@@ -420,16 +420,15 @@ def fit_grid(models, t_max: float, window: int) -> ThetaGrid:
     radius = np.abs(np.indices((cap.nodes_per_axis,) * dim) - cap.nodes_per_axis // 2
                     ).max(axis=0).ravel()
     times = t_max / 2.0 ** np.arange(FIT_TIMES)[:, None]
-    tail, floor = np.zeros(radius.max() + 1), 0.0
-    for model in models:
-        dc = model.derived
-        sym = _moment_symbols(theta_coefficients(model, cap), dc, times)   # (2, 2, T, N)
-        m1 = torus_field(_pack(sym[:, 0], sym[:, 1]), cap).reshape(2, FIT_TIMES, -1)
-        exact = _moment_symbols(_origin_coefficients(model), dc, times)[..., 0]
-        gap = m1.sum(axis=-1) - _pack(exact[:, 0], exact[:, 1])
-        floor = max(floor, float(np.abs(gap.real).max()), float(np.abs(gap.imag).max()))
-        for f in np.abs(np.concatenate([m1.real, m1.imag])).reshape(-1, radius.size):
-            tail = np.maximum(tail, np.cumsum(np.bincount(radius, f)[::-1])[::-1])
+    dc = model.derived
+    sym = _moment_symbols(theta_coefficients(model, cap), dc, times)   # (2, 2, T, N)
+    m1 = torus_field(_pack(sym[:, 0], sym[:, 1]), cap).reshape(2, FIT_TIMES, -1)
+    exact = _moment_symbols(_origin_coefficients(model), dc, times)[..., 0]
+    gap = m1.sum(axis=-1) - _pack(exact[:, 0], exact[:, 1])
+    floor = max(float(np.abs(gap.real).max()), float(np.abs(gap.imag).max()))
+    tail = np.zeros(radius.max() + 1)
+    for f in np.abs(np.concatenate([m1.real, m1.imag])).reshape(-1, radius.size):
+        tail = np.maximum(tail, np.cumsum(np.bincount(radius, f)[::-1])[::-1])
     for m in sizes:
         if max(tail[math.ceil(3 * m / 8)], floor) <= BOUNDARY_TOL:
             return ThetaGrid(dim, m)
@@ -754,7 +753,8 @@ def _many_to_two_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid, starts:
     delta_{u0} m_ij(t, 0), shape (R, 2, 2, N), the integral alone.  The
     integral is ``_doubling_quadrature`` over ``_many_to_two_nodes``; its
     tail test reads the torus field on ``window`` (default: all of it).  On
-    the diagonal a law with no branching has no integral.
+    the diagonal a law with no branching has no integral: its second
+    moment is its first, and the defect is that of the first-moment fields.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -770,7 +770,10 @@ def _many_to_two_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid, starts:
     else:
         init = _moment_symbols(coef, dc, t)[starts]
     if not integrate:
-        return init, 0.0, True
+        mass = 0.0 if origin else _defect(
+            torus_field(init, grid), _torus_shell(grid),
+            _moment_symbols(_origin_coefficients(model), dc, t)[starts, ..., 0])
+        return init, mass, True
     return _doubling_quadrature(
         t, init, partial(_many_to_two_nodes, model, grid, coef, _origin_coefficients(model),
                          _torus_shell(grid), starts, origin),
@@ -789,7 +792,7 @@ def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,
     first-moment fields' ``_defect`` exceeds BOUNDARY_TOL.  Without a
     ``grid`` the grid is fitted (``fit_grid``).
     """
-    grid = grid or fit_grid([model], t, box_radius)
+    grid = grid or fit_grid(model, t, box_radius)
     window = _window(grid, box_radius)
     sym2, mass, converged = _many_to_two_symbols(model, t, grid, [0, 1], window=window)
     return MomentField(t=t, box_radius=box_radius, order=2, dim=model.dim,

@@ -17,7 +17,7 @@ from brw2.cli import main as cli_main
 from brw2.clusters import cluster_stats_1d, conditional_mean_curve, occupied_sites_1d, \
     survival_curve
 from brw2.config import preset
-from brw2.epidemic import EpidemicLaw, correlation_ode
+from brw2.epidemic import correlation_ode
 from brw2.lattice import ThetaGrid, gamma_constant, simple_kernel, \
     transition_probability, uniform_range_kernel
 from brw2.moments import (first_moment_field, first_moment_ode_oracle,
@@ -238,10 +238,10 @@ def test_a7_supplementary_island_scale(fig_z1_lengths):
 
 def test_a8_epidemic_consistency():
     # (a) fig-z2 law at d=1 desk scale: empirical E N1(t, x) vs R1 = e^{At} p
-    law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
-                      conversion_rate=0.45)     # A = 0
+    law = BranchingLaw(mu1=0.05, mu2=0.0, beta1={(2, 0): 0.5},
+                       conversion_rate=0.45)    # A = 0
     k = simple_kernel(1)
-    model = TwoTypeModel(k, k, 1.0, 1.0, law.to_branching_law())
+    model = TwoTypeModel(k, k, 1.0, 1.0, law)
     times = (1.0, 2.0)
     sites = tuple(range(-2, 3))
     n_rep = 10_000
@@ -252,7 +252,7 @@ def test_a8_epidemic_consistency():
     worst_z = 0.0
     for ti, t in enumerate(times):
         for si, x in enumerate(sites):
-            r1 = math.exp(law.growth * t) * transition_probability(k, 1.0, t, 0, x, grid)
+            r1 = math.exp(model.derived.r1 * t) * transition_probability(k, 1.0, t, 0, x, grid)
             col = arr[:, ti, si]
             se = max(col.std(ddof=1) / math.sqrt(n_rep), 1e-4)
             worst_z = max(worst_z, abs(col.mean() - r1) / se)
@@ -260,9 +260,9 @@ def test_a8_epidemic_consistency():
 
     # (b) non-intermittency at a fixed site for the supercritical equal-kernel
     # configuration (A > 0, mu2 = 0)
-    sup = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
-                      conversion_rate=0.2)      # A = 0.25
-    fields = correlation_ode(sup, k, 1.0, k, 1.0, [5.0, 10.0, 20.0], 16)
+    sup = BranchingLaw(mu1=0.05, mu2=0.0, beta1={(2, 0): 0.5},
+                       conversion_rate=0.2)     # A = 0.25
+    fields = correlation_ode(TwoTypeModel(k, k, 1.0, 1.0, sup), [5.0, 10.0, 20.0], 16)
     ratios = [f.value("r22", 0) / f.value("r2", 0) ** 2 for f in fields]
     ok_b = max(ratios) / min(ratios) < 2.0
     criterion("A8", ok_a and ok_b,

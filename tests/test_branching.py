@@ -133,6 +133,30 @@ class TestThetaCoefficients:
         assert (u[0, 1] == 0).all() and (u[1, 0] == 0).all()
 
 
+class TestEpidemicShapedLaw:
+    """The infected/immune law: type-1 entries beta1(n, 0) = b_n and a
+    conversion rate r, whose epidemic scalars are derived constants."""
+
+    def test_derived_scalars(self):
+        law = BranchingLaw(mu1=0.1, mu2=0.2, beta1={(2, 0): 0.5, (3, 0): 0.25},
+                           conversion_rate=0.05)
+        dc = derive_constants(law)
+        # A = beta - mu1 - r, with beta = sum (n - 1) b_n = 1
+        assert dc.r1 == pytest.approx(1.0 - 0.1 - 0.05)
+        # beta2 = sum n (n - 1) b_n
+        assert dc.factorial_density[0, 0, 0] == pytest.approx(2 * 0.5 + 6 * 0.25)
+        assert dc.b == 0.05 and dc.c == 0.0 and dc.r2 == -0.2
+        assert not dc.factorial_density[0, 1].any() and not dc.factorial_density[1].any()
+
+    def test_validation(self):
+        # an infection needs n >= 2 offspring; rates must be nonnegative
+        with pytest.raises(LawError, match=r"\(1,0\)"):
+            BranchingLaw(mu1=0.0, mu2=0.0, beta1={(1, 0): 0.5})
+        for bad in ({"mu1": -1.0}, {"conversion_rate": -0.1}):
+            with pytest.raises(LawError):
+                BranchingLaw(**{"mu1": 0.0, "mu2": 0.0, **bad})
+
+
 class TestLawValidation:
     def test_rejects_low_offspring_pairs(self):
         with pytest.raises(LawError, match=r"\(0,1\)|\(0, 1\)"):

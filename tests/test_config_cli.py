@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from brw2 import cli, simulate
+from brw2.branching import derive_constants
 from brw2.cli import main
 from brw2.config import (PRESET_NAMES, ConfigError, config_hash, parse_config, preset,
                          serialize_config)
@@ -121,7 +123,7 @@ model:
         z2 = preset("fig-z2")
         assert z2.dim == 2 and len(z2.experiment.initial) == 200
         law = z2.build_epidemic_law()
-        assert law.growth == 0.0 and law.conversion_rate == 0.45
+        assert derive_constants(law).r1 == 0.0 and law.conversion_rate == 0.45
         assert len(z2.experiment.t_list) == 6 and len(z1.experiment.t_list) == 6
         with pytest.raises(ConfigError, match="unknown preset"):
             preset("fig-z9")
@@ -130,6 +132,25 @@ model:
         cfg = parse_config(CRITICAL_1D)
         with pytest.raises(ConfigError, match="beta2"):
             cfg.build_epidemic_law()
+        mixed = replace(cfg, law=replace(cfg.law, beta2=()))    # beta1 keeps (1, 1)
+        with pytest.raises(ConfigError, match=r"model\.law\.beta1.*\(1,1\)"):
+            mixed.build_epidemic_law()
+
+    def test_epidemic_law_is_the_branching_law(self):
+        # what the epidemic command runs is the config's own law and model
+        z2 = preset("fig-z2")
+        law = z2.build_epidemic_law()
+        assert law == z2.build_law() == z2.build_model().law
+        assert law.beta1 == ((2, 0, 0.5),) and law.beta2 == ()
+        assert law.conversion_rate == 0.45
+
+    def test_fig_z2_epidemic_constants(self):
+        # A = beta - mu1 - r = 0, b = r, c = 0, r2 = -mu2, and
+        # sum n (n - 1) b_n = 1 ordered infected pairs per unit rate
+        dc = preset("fig-z2").build_model().derived
+        assert dc.r1 == 0.0 and dc.b == 0.45 and dc.c == 0.0 and dc.r2 == 0.0
+        assert dc.factorial_density[0, 0, 0] == 1.0
+        assert not dc.factorial_density[0, 1].any() and not dc.factorial_density[1].any()
 
     def test_with_overrides_rejects_unknown_keys(self):
         cfg = preset("fig-z1")

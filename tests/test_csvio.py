@@ -198,7 +198,7 @@ GOLDEN = {
             "38e391ec48c8951c4844cbf5456958da62fb3edf2744896e2c6d42857a5df82e"}),
     "epidemic": (["--preset", "fig-z2", "--t", "1", "--box", "6"], {
         "epidemic.csv":
-            "a9388048dd0843295c575c04ae3f4b8b86964105df56eb8ed5b01118ae27421a",
+            "7c6e329ad1354f37ee04dcd3d97dbbc74ec85bc7f11cc389b1d84b29487acbdb",
         "corr.csv":
             "c16f9f24499cbead98ddb0d2c085203ebac8c71ffc574bf5a0bf2113de455dce"}),
     "cells": (["--config", CELLS_D2], {

@@ -15,10 +15,9 @@ from brw2 import moments
 from brw2.cli import main
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.config import parse_config, preset
-from brw2.epidemic import EpidemicLaw, epidemic_first_moment_profiles, epidemic_m2
+from brw2.epidemic import correlation_ode, epidemic_first_moment_profiles, epidemic_m2
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
-from brw2.epidemic import correlation_ode
 from brw2.moments import (BOUNDARY_TOL, _pack, _phase_sum, _window, box_sites,
                           first_moment_asymptote, first_moment_field,
                           first_moment_ode_oracle, first_moment_symbols, fit_grid,
@@ -195,7 +194,7 @@ class TestSecondMoments:
         # offspring pair (a, b) takes (1, 1), (2, 2) and (1, 2); the epidemic
         # law has a = b = 1 only, so its tests cannot tell a from b
         model, t = model_case(name), 2.0
-        grid = fit_grid([model], t, 0)
+        grid = fit_grid(model, t, 0)
         diag, _, diag_ok = moments._many_to_two_symbols(model, t, grid, [0, 1])
         pair, _, pair_ok = moments._many_to_two_symbols(model, t, grid, [0, 1], origin=True)
         m1 = first_moment_symbols(model, t, grid)
@@ -410,21 +409,23 @@ def critical_walk() -> TwoTypeModel:
     return TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 1.0, law)
 
 
+def epidemic_case() -> TwoTypeModel:
+    """The supercritical infected/immune law (A = 0.25) on simple walks."""
+    law = BranchingLaw(mu1=0.05, mu2=0.0, beta1={(2, 0): 0.5}, conversion_rate=0.2)
+    return TwoTypeModel(simple_kernel(1), simple_kernel(1), 1.0, 1.0, law)
+
+
 def fields_inputs():
-    """The benchmark's field inputs, as the CLI fits them: (models, largest
+    """The benchmark's field inputs, as the CLI fits them: (model, largest
     time, largest output window) for both moment configs and fig-z2."""
     out = []
     for name in ("moments-d1", "moments-d2"):
         cfg = parse_config(
             (Path(__file__).parents[1] / f"perfbench/configs/{name}.yaml").read_text())
-        out.append(([cfg.build_model()], max(cfg.experiment.t_list),
+        out.append((cfg.build_model(), max(cfg.experiment.t_list),
                     cfg.experiment.box_radius))
     z2 = preset("fig-z2")
-    law = z2.build_epidemic_law().to_branching_law()
-    k1, k2 = z2.build_kernel(1), z2.build_kernel(2)
-    out.append(([TwoTypeModel(k1, k1, z2.kappa1, z2.kappa1, law),
-                 TwoTypeModel(k1, k2, z2.kappa1, z2.kappa2, law)],
-                max(z2.experiment.t_list),
+    out.append((z2.build_model(), max(z2.experiment.t_list),
                 max(z2.experiment.box_radius, z2.experiment.corr_box_radius)))
     return out
 
@@ -436,7 +437,7 @@ class TestFitGrid:
     def test_wide_field_gets_a_wide_grid(self):
         model = critical_walk()
         ref = first_moment_field(model, 200.0, 0, ThetaGrid(1, 1024))
-        assert fit_grid([model], 200.0, 0).nodes_per_axis >= 192
+        assert fit_grid(model, 200.0, 0).nodes_per_axis >= 192
         fld = first_moment_field(model, 200.0, 0)
         assert abs(fld.value(1, 1, 0) - ref.value(1, 1, 0)) <= 1e-9
         assert not fld.degraded
@@ -444,7 +445,7 @@ class TestFitGrid:
     def test_window_past_the_cap_gets_the_cap(self):
         # so `--box 65` at d = 1 is still refused (test_config_cli, before any work)
         model = model_case("b+c+")
-        assert fit_grid([model], 1.0, 65) == ThetaGrid.for_dim(1)
+        assert fit_grid(model, 1.0, 65) == ThetaGrid.for_dim(1)
         with pytest.raises(ValueError):
             first_moment_field(model, 1.0, 65)
 
@@ -484,24 +485,22 @@ class TestConversionScope:
     def test_engine_covers_conversion_law(self):
         # conversion is r1 -> r1 - r, b -> b + r: the generic engine handles the
         # epidemic law, and its routes agree with each other and with the
-        # epidemic module, whose M2 view puts kernel1 in place of the type-2 walk
-        law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
-                          conversion_rate=0.2)
-        k1, k2 = simple_kernel(1), uniform_range_kernel(1, 2)
-        model = TwoTypeModel(k1, k2, 1.0, 0.5, law.to_branching_law())
+        # epidemic module's views of it
+        law = BranchingLaw(mu1=0.05, mu2=0.0, beta1={(2, 0): 0.5}, conversion_rate=0.2)
+        model = TwoTypeModel(simple_kernel(1), uniform_range_kernel(1, 2), 1.0, 0.5, law)
         t, box = 2.0, 30
         f1 = first_moment_field(model, t, box)
         assert np.abs(f1.values - first_moment_ode_oracle(model, t, box).values).max() < 1e-5
-        r1, r2 = epidemic_first_moment_profiles(law, k1, 1.0, k2, 0.5, t, box)
+        r1, r2 = epidemic_first_moment_profiles(model, t, box)
         npt.assert_allclose(f1.values[0, 0], r1, atol=1e-14)
         npt.assert_allclose(f1.values[0, 1], r2, atol=1e-14)
         f2 = second_moment_field(model, t, box)
         o2 = second_moment_ode_oracle(model, t, box)
         assert f2.converged and not f2.degraded
         npt.assert_allclose(f2.values, o2.values, rtol=1e-4, atol=1e-8)
-        view = TwoTypeModel(k1, k1, 1.0, 1.0, law.to_branching_law())
-        m2_view = second_moment_ode_oracle(view, t, box).values[0, 0]
-        npt.assert_allclose(f2.values[0, 0], m2_view, rtol=1e-4, atol=1e-8)
+        for x in (0, 3):
+            npt.assert_allclose(epidemic_m2(model, t, 0, x).value, f2.value(1, 1, x),
+                                rtol=1e-10)
 
 
 class TestQuadratureCap:
@@ -511,16 +510,11 @@ class TestQuadratureCap:
         fld = second_moment_field(model, 20.0, 30)
         assert not fld.converged
         assert fld.degraded
-        law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
-                          conversion_rate=0.2)
-        assert epidemic_m2(law, simple_kernel(1), 1.0, 20.0, 0, 0).degraded
+        assert epidemic_m2(epidemic_case(), 20.0, 0, 0).degraded
 
     def test_pair_route_shares_the_cap(self, monkeypatch):
         monkeypatch.setattr(moments, "QUAD_MAX_NODES", moments.QUAD_START_NODES)
-        law = EpidemicLaw(mu1=0.05, mu2=0.0, infection_rates={2: 0.5},
-                          conversion_rate=0.2)
-        k = simple_kernel(1)
-        fld = correlation_ode(law, k, 1.0, k, 1.0, 20.0, 4)
+        fld = correlation_ode(epidemic_case(), 20.0, 4)
         assert not fld.converged
         assert fld.degraded
 
@@ -671,17 +665,15 @@ class TestQuadratureEstimate:
         calls = []
         monkeypatch.setattr(moments, "leggauss", lambda n: calls.append(n) or leggauss(n))
         (d1, t_max, radius), _, z2_fit = fields_inputs()
-        fld = second_moment_field(d1[0], t_max, radius, fit_grid(d1, t_max, radius))
+        fld = second_moment_field(d1, t_max, radius, fit_grid(d1, t_max, radius))
         assert calls == [32] and fld.converged
         z2 = preset("fig-z2")
-        law, grid = z2.build_epidemic_law(), fit_grid(*z2_fit)
-        k1, k2 = z2.build_kernel(1), z2.build_kernel(2)
+        model, grid = z2.build_model(), fit_grid(*z2_fit)
         calls.clear()
-        m2 = epidemic_m2(law, k1, z2.kappa1, 4.0, (0, 0), (0, 0), grid)
+        m2 = epidemic_m2(model, 4.0, (0, 0), (0, 0), grid)
         assert calls == [32] and np.isfinite(m2.value)
         calls.clear()
-        pair = correlation_ode(law, k1, z2.kappa1, k2, z2.kappa2, 4.0,
-                               z2.experiment.corr_box_radius, grid=grid)
+        pair = correlation_ode(model, 4.0, z2.experiment.corr_box_radius, grid=grid)
         assert calls == [32] and pair.converged
 
 
