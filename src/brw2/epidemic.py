@@ -99,16 +99,18 @@ def epidemic_m2(model: TwoTypeModel, t: float, x, y,
     many-to-two diagonal (``moments._many_to_two_symbols``); only the
     infected start row is integrated.  The symbol is summed against the
     cosine phase of u = y - x, so u need not lie in any window; the
-    quadrature's tail test reads the whole torus field.  This integral is kept apart from the origin slice
-    that gives R11(t, 0, 0) (``correlation_ode``), so the two stay
-    independent routes to one value.  ``boundary_mass`` is the worst
-    ``_defect`` of the first-moment fields over the time nodes; ``degraded``
-    also flags a quadrature that hit its node cap.  Without a ``grid`` the
-    grid is fitted to the window of radius max |u_k| (``moments.fit_grid``).
+    quadrature's tail test reads the whole torus field.  This integral is
+    kept apart from the origin slice that gives R11(t, 0, 0)
+    (``correlation_ode``), so the two stay independent routes to one value.
+    ``boundary_mass`` is the worst ``_defect`` of the first-moment fields
+    over the time nodes, its wrap bound taken at output radius
+    max |u_k|; ``degraded`` also flags a quadrature that hit its node cap.
+    Without a ``grid`` the grid is fitted to the window of that radius
+    (``moments.fit_grid``).
     """
     u = np.asarray(_vec(y), dtype=np.float64) - np.asarray(_vec(x), dtype=np.float64)
     grid = grid or fit_grid(model, t, _reach(u))
-    sym2, mass, converged = _many_to_two_symbols(model, t, grid, [0])
+    sym2, mass, converged = _many_to_two_symbols(model, t, grid, [0], reach=_reach(u))
     return M2Value(value=float(_phase_sum(sym2[0, 0], grid, u)), boundary_mass=mass,
                    degraded=mass > BOUNDARY_TOL or not converged)
 
@@ -137,9 +139,10 @@ class PairSlices:
     E[N2(0) N2(u)], and ``r1``, ``r2`` the first moments R1(t, u), R2(t, u),
     each flattened over ``box_sites(box_radius, dim)``.  ``boundary_mass``
     is the worst ``moments._defect`` of the first-moment fields inside the
-    time integral: the larger of their torus-shell mass and their
-    window-sum gap.  ``degraded`` is set when it exceeds BOUNDARY_TOL or the
-    quadrature stopped at its node cap (``converged`` False).
+    time integral: their window-sum gap plus the bound on the terms that
+    the cyclic products wrap into the window.  ``degraded`` is set when it
+    exceeds BOUNDARY_TOL or the quadrature stopped at its node cap
+    (``converged`` False).
     """
 
     t: float
@@ -173,10 +176,10 @@ def correlation_ode(model: TwoTypeModel, t, box_radius: int,
     window, cut from the torus, and needs box_radius <= M/4
     (``max_pair_window``); without a ``grid`` the grid is fitted for the
     largest time (``moments.fit_grid``).  ``boundary_mass`` is the largest
-    ``moments._defect`` of R1 and R2 over the time nodes.  Within the
-    output window every wrapped term of the cyclic convolution has a factor
-    on the 3M/8 shell, so the wrap-around error is of the order of this
-    mass.
+    ``moments._defect`` of R1 and R2 over the time nodes: their window-sum
+    gap plus a bound on the terms of the cyclic convolutions that wrap into
+    the output window (``moments._wrap_bound``), which never reads below
+    the error measured against the largest grid.
 
     The name is kept from the box ODE this route replaced, now
     ``correlation_box_ode``, because the benchmark wraps this function by
@@ -189,7 +192,7 @@ def correlation_ode(model: TwoTypeModel, t, box_radius: int,
     out = []
     for tv in times:
         pair, mass, converged = _many_to_two_symbols(model, tv, grid, [0], origin=True,
-                                                     window=window)
+                                                     window=window, reach=box_radius)
         r1, r2 = torus_field(first_moment_symbols(model, tv, grid)[0], grid)[window]
         r11, r12, r22 = torus_field(pair[0, [0, 0, 1], [0, 1, 1]], grid)[window]
         origin = (box_radius,) * model.dim

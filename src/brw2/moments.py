@@ -24,17 +24,19 @@ on the M^d theta grid and fields on the whole torus window
 [-M/2, M/2)^d by FFT, with no box.  A field's box radius is only an
 output window cut from the torus, at most M/4 (``max_pair_window``).  Its
 truncation defect (``_defect``) reads the first-moment fields it is built
-from: the larger of their mass on the torus's outer shell and the gap
-between each field's torus sum and its exact lattice total.  M is fitted
-per call (``fit_grid``): the smallest FFT-friendly M that holds the
-output window and keeps the fields' tail beyond 3M/8 under BOUNDARY_TOL,
-capped at ``ThetaGrid.DEFAULT_NODES``; an explicit grid wins.  Kernels
-are symmetric, so every symbol and field is real, and two real fields
-share one complex FFT (``_pack``).  The integrand is smooth in s, so the
-time integral uses Gauss-Legendre nodes, doubling their number until a
-rule's own Legendre tail, its top two discrete Legendre coefficients, is
-below tolerance (``_doubling_quadrature``); no rule is computed only to
-be compared with the next.  The nodes on [0, t] are mirrored,
+from: the gap between each field's torus sum and its exact lattice total,
+which bounds each field's own images, plus a bound on the terms that the
+cyclic products wrap into the output window, from the fields' radial
+profiles (``_wrap_bound``).  M is fitted per call (``fit_grid``): the
+smallest FFT-friendly M that holds the output window and keeps that
+defect under BOUNDARY_TOL, capped at ``ThetaGrid.DEFAULT_NODES``; an
+explicit grid wins.  Kernels are symmetric, so every symbol and field is
+real, and two real fields share one complex FFT (``_pack``).  The
+integrand is smooth in s, so the time integral uses Gauss-Legendre nodes,
+doubling their number until a rule's own Legendre tail, its top two
+discrete Legendre coefficients, is below tolerance
+(``_doubling_quadrature``); no rule is computed only to be compared with
+the next.  The nodes on [0, t] are mirrored,
 s_{n-1-k} = t - s_k, and each block of nodes holds whole pairs, so a
 symbol or field at t - s is the same at s on the mirror node: every one
 is evaluated once per node.  Symbols over the whole grid come from
@@ -59,7 +61,6 @@ distinct (t, x) are safe, and each oracle integration owns its state.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -180,11 +181,12 @@ def _pack(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 def max_pair_window(nodes_per_axis: int) -> int:
     """Largest output radius of the torus routes on M nodes per axis: M // 4.
 
-    Products of torus fields are cyclic convolutions, so a term g(w)
-    R(u - w) with |u - w| >= M/2 lands on the window wrapped by M.  With
-    |u| <= M/4 such a pair has |w| + |u - w - M| >= 3M/4 in the wrapped
-    coordinate, so one factor sits on the 3M/8 shell that ``_defect``
-    measures; past M/4 both can sit inside it, unmeasured.
+    Products of torus fields are cyclic convolutions, so a term f(w) g(v)
+    reaches an output site |u_k| <= W only through a wrap, w + v = u + nM
+    with n != 0, which needs |w| + |v| >= M - W in the sup norm.  With
+    W <= M/4 both factors of such a term sit at radius >= M/4 and their
+    radii add to >= 3M/4, out in the fields' tails, where ``_wrap_bound``
+    sums them.
     """
     return nodes_per_axis // 4
 
@@ -199,29 +201,62 @@ def _window(grid: ThetaGrid, box_radius: int) -> tuple:
     return (Ellipsis,) + (slice(m // 2 - box_radius, m // 2 + box_radius + 1),) * grid.dim
 
 
-def _torus_shell(grid: ThetaGrid) -> np.ndarray:
-    """Mask of the torus window's outer shell, the sites with some |x_k| >= 3M/8."""
-    m = grid.nodes_per_axis
-    return (np.abs(np.indices((m,) * grid.dim) - m // 2) >= 3 * m / 8).any(axis=0)
+def _envelope_profile(fields: np.ndarray, dim: int, reach: int) -> np.ndarray:
+    """The radial profile of the envelope max |f| over torus ``fields`` (all
+    leading axes; a packed field counts as its two fields): its mass and
+    its largest value on each sup-norm shell that a wrap into output radius
+    ``reach`` can involve, r = max(M/2 - reach, 0), ..., M/2
+    (``_wrap_bound``), shape (2, shells)."""
+    m = fields.shape[-1]
+    lead = tuple(range(fields.ndim - dim))
+    parts = (fields.real, fields.imag) if np.iscomplexobj(fields) else (fields,)
+    env = np.max([np.abs(p).max(axis=lead) for p in parts], axis=0).ravel()
+    radius = np.abs(np.indices((m,) * dim) - m // 2).max(axis=0).ravel()
+    outer = np.flatnonzero(radius >= m // 2 - reach)
+    outer = outer[np.argsort(radius[outer], kind="stable")]
+    starts = np.searchsorted(radius[outer], np.arange(max(m // 2 - reach, 0), m // 2 + 1))
+    return np.stack([np.add.reduceat(env[outer], starts),
+                     np.maximum.reduceat(env[outer], starts)])
 
 
-def _defect(fields: np.ndarray, shell: np.ndarray, totals: np.ndarray) -> float:
+def _wrap_bound(profile: np.ndarray, nodes_per_axis: int, reach: int) -> float:
+    """Bound on the wrapped part, at any output site |u_k| <= ``reach`` of
+    an M-torus, of a cyclic convolution of a product p q with g, where |p|,
+    |q| and |g| are at most one envelope of radial ``profile``
+    (``_envelope_profile``).
+
+    A term f(w) g(v) with f = p q reaches such a site only through a wrap,
+    which needs |w| + |v| >= M - reach (``max_pair_window``), and for each
+    w the wrap fixes v.  So the wrapped part is at most sum_r A_f(r)
+    G_g(M - reach - r) plus the same with f and g swapped, where A is the
+    mass on the shell of radius r, S its largest value and G(rho) the
+    largest value at radius >= rho.  With A_f <= S A and G_f <= G^2 from
+    the envelope, that is sum_r A(r) (S(r) G(rho) + G(rho)^2).
+    """
+    mass, peak = profile
+    m = nodes_per_axis
+    inner = max(m // 2 - reach, 0)
+    rho = np.maximum(m - reach - np.arange(inner, m // 2 + 1), inner) - inner
+    tail = np.maximum.accumulate(peak[::-1])[::-1][rho]
+    return float((mass * (peak * tail + tail ** 2)).sum())
+
+
+def _defect(fields: np.ndarray, totals: np.ndarray, wrap: float = 0.0) -> float:
     """The truncation defect of the Fourier routes over torus fields: the
-    larger of each field's mass on the ``shell`` and the gap between its
-    sum over the torus window and ``totals``, its exact lattice total (the
-    theta = 0 symbol, ``_origin_coefficients``).  A packed field and its
-    packed total count as their two fields.
+    largest gap between a first-moment field's sum over the torus window
+    and ``totals``, its exact lattice total (the theta = 0 symbol,
+    ``_origin_coefficients``), plus ``wrap``, the bound on the wrapped
+    terms of the cyclic products built from the fields (``_wrap_bound``; a
+    first-moment field has none).  A packed field and its packed total
+    count as their two fields.
 
     The window sum is sum_y f(y) (-1)^{n(y)}, n(y) the image count of y, so
-    the gap sees a field far wider than the torus, whose anti-periodic
-    images cancel on the shell and leave its mass there near 0.
+    the gap is twice the field's mass on odd images: it bounds each
+    factor's own images, including those of a field far wider than the
+    torus, whose anti-periodic images cancel in the window.
     """
-    def parts(a):
-        return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    axes = tuple(range(-shell.ndim, 0))
-    gap = fields.sum(axis=axes) - totals
-    return max(*(float(np.abs(p).sum(axis=axes, where=shell).max()) for p in parts(fields)),
-               *(float(np.abs(p).max()) for p in parts(gap)))
+    gap = fields.sum(axis=tuple(range(totals.ndim, fields.ndim))) - totals
+    return max(float(np.abs(gap.real).max()), float(np.abs(gap.imag).max())) + wrap
 
 
 def _origin_coefficients(model: TwoTypeModel) -> ThetaCoefficients:
@@ -323,7 +358,7 @@ class MomentField:
     counted type - 1, x + L per coordinate).  ``boundary_mass`` is the total
     rate-weighted flux killed at the box boundary for oracle fields; for
     Fourier fields, whose box is an output window cut from the torus field,
-    it is the worst ``_defect`` (torus-shell mass or window-sum gap) of the
+    it is the worst ``_defect`` (window-sum gap plus wrap bound) of the
     first-moment fields they are built from.  ``degraded`` is set when it
     exceeds BOUNDARY_TOL, and also when the Duhamel time quadrature stopped
     at its node cap (``converged`` False).
@@ -372,8 +407,7 @@ def first_moment_field(model: TwoTypeModel, t: float, box_radius: int,
     grid = grid or fit_grid(model, t, box_radius)
     window = _window(grid, box_radius)
     m1 = _first_moment_torus(model, t, grid)
-    mass = _defect(m1, _torus_shell(grid),
-                   first_moment_symbols(model, t, np.zeros((1, model.dim)))[..., 0])
+    mass = _defect(m1, first_moment_symbols(model, t, np.zeros((1, model.dim)))[..., 0])
     return MomentField(t=t, box_radius=box_radius, order=1, dim=model.dim,
                        values=_clip_roundoff(m1[window]), boundary_mass=mass,
                        degraded=mass > BOUNDARY_TOL)
@@ -400,37 +434,47 @@ def fit_grid(model: TwoTypeModel, t_max: float, window: int) -> ThetaGrid:
     """The smallest theta grid for the Fourier fields of ``model`` up to
     time ``t_max`` on output windows of radius ``window``.
 
-    M is the smallest 5-smooth even M >= 4 window (``max_pair_window``)
-    whose first-moment fields carry at most BOUNDARY_TOL of the ``_defect``
-    on an M-node torus, capped at ``ThetaGrid.DEFAULT_NODES``: the cap is
-    returned when no smaller M passes.  The fields are transformed once, on
-    the cap grid, at the times t_max / 2^k (k < FIT_TIMES).  Each field's
-    |m_ij| summed over sup-norm radius >= r, for every r, comes from one
-    bincount; at r = 3M/8 it bounds the M-torus shell mass, since every
-    image of a shell site lies further out.  The cap grid's own window-sum
-    gap is a floor under every candidate.  A field whose tail peaks between
-    the sampled times, as a fast-dying walk's can, may be fitted a grid on
-    which a route reports it ``degraded``; the routes' defect still holds.
+    M is the smallest 5-smooth even M >= 4 window (``max_pair_window``) on
+    which the routes' ``_defect`` is at most BOUNDARY_TOL, capped at
+    ``ThetaGrid.DEFAULT_NODES``: the cap is returned when no smaller M
+    passes.  The first-moment fields are transformed once, on the cap grid,
+    at the times t_max / 2^k (k < FIT_TIMES), and each candidate M is
+    tested on the defect's two terms:
+
+    - the window-sum gap, exactly: each cap site's image count on the
+      M-torus gives its sign in the M-torus window sum;
+    - the wrap bound (``_wrap_bound``) from the radial profiles of every
+      field at every sampled time, taken at their largest, times t_max and
+      the summed factorial densities: each many-to-two product is a
+      density-weighted triple of first-moment fields, integrated over
+      s in [0, t].
+
+    A field whose tail peaks between the sampled times, as a fast-dying
+    walk's can, may be fitted a grid on which a route reports it
+    ``degraded``; the routes' defect still holds.
     """
     dim = model.dim
     cap = ThetaGrid.for_dim(dim)
-    sizes = [m for m in range(max(2, 4 * window), cap.nodes_per_axis, 2) if _five_smooth(m)]
+    c = cap.nodes_per_axis
+    sizes = [m for m in range(max(2, 4 * window), c, 2) if _five_smooth(m)]
     if not sizes:
         return cap
-    radius = np.abs(np.indices((cap.nodes_per_axis,) * dim) - cap.nodes_per_axis // 2
-                    ).max(axis=0).ravel()
     times = t_max / 2.0 ** np.arange(FIT_TIMES)[:, None]
     dc = model.derived
     sym = _moment_symbols(theta_coefficients(model, cap), dc, times)   # (2, 2, T, N)
-    m1 = torus_field(_pack(sym[:, 0], sym[:, 1]), cap).reshape(2, FIT_TIMES, -1)
+    m1 = torus_field(_pack(sym[:, 0], sym[:, 1]), cap)                  # (2, T) + (c,)*d
+    fields = np.concatenate([m1.real, m1.imag])                         # (4, T) + (c,)*d
     exact = _moment_symbols(_origin_coefficients(model), dc, times)[..., 0]
-    gap = m1.sum(axis=-1) - _pack(exact[:, 0], exact[:, 1])
-    floor = max(float(np.abs(gap.real).max()), float(np.abs(gap.imag).max()))
-    tail = np.zeros(radius.max() + 1)
-    for f in np.abs(np.concatenate([m1.real, m1.imag])).reshape(-1, radius.size):
-        tail = np.maximum(tail, np.cumsum(np.bincount(radius, f)[::-1])[::-1])
+    totals = np.concatenate([exact[:, 0], exact[:, 1]])                 # (4, T)
+    profile = _envelope_profile(fields, dim, c // 2)
+    scale = t_max * dc.factorial_density.sum()
+    flat = fields.reshape(4, FIT_TIMES, -1)
+    sites = np.indices((c,) * dim).reshape(dim, -1) - c // 2
     for m in sizes:
-        if max(tail[math.ceil(3 * m / 8)], floor) <= BOUNDARY_TOL:
+        sign = 1.0 - 2.0 * (((sites + m // 2) // m).sum(axis=0) % 2)
+        gap = float(np.abs(flat @ sign - totals).max())
+        wrap = scale * _wrap_bound(profile[:, m // 2 - window:m // 2 + 1], m, window)
+        if gap + wrap <= BOUNDARY_TOL:
             return ThetaGrid(dim, m)
     return cap
 
@@ -675,12 +719,16 @@ def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
 
 
 def _many_to_two_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoefficients,
-                       zero: ThetaCoefficients, shell: np.ndarray, starts: list[int],
-                       origin: bool, s_blk: np.ndarray, w_blk: np.ndarray
+                       zero: ThetaCoefficients, t: float, reach: int,
+                       starts: list[int], origin: bool, s_blk: np.ndarray, w_blk: np.ndarray
                        ) -> tuple[np.ndarray, float]:
     """The many-to-two integrand over one block of node pairs, summed
-    against each column of the (B, 3) weights ``w_blk``, and the worst
-    ``_defect`` of the first-moment fields it is built from.
+    against each column of the (B, 3) weights ``w_blk``, and the block's
+    ``_defect`` over the first-moment fields it is built from.  Its wrap
+    term bounds the wrapped part of the integral over [0, t] at output
+    radius ``reach``: every product, at every node of the block, is a
+    density-weighted triple of those fields, so it is t sum dens times the
+    ``_wrap_bound`` of their envelope.
 
     A start-type-i ancestor (i in ``starts``) runs for t - s to a type-k
     branching event, whose offspring pair (a, b) runs for s; the source is
@@ -700,19 +748,20 @@ def _many_to_two_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoeffici
     both FFTs and the weighted sums; the diagonal's source products are
     taken on the float view, which multiplies real parts with real parts
     and imaginary with imaginary, so they come out packed too.  Only the
-    start types that some branching event produces (dens[k, a, b] > 0),
-    and on the origin slice the ``starts``, are transformed, so the defect
-    covers just the fields that enter the integrand.
+    start types that some branching event produces (dens[k, a, b] > 0) and
+    the ``starts``, whose fields m_ik(t - s) are U_ik(t - s), are
+    transformed, so the defect covers just the fields that enter the
+    integrand.
     """
     dc = model.derived
     dens = dc.factorial_density
     n_blk, n_pts = len(s_blk), grid.n_points
-    fed = np.flatnonzero(dens.any(axis=(0, 2)))
-    types = np.union1d(fed, starts) if origin else fed
+    types = np.union1d(np.flatnonzero(dens.any(axis=(0, 2))), starts)
     sym1 = _moment_symbols(coef, dc, s_blk[:, None])               # (2, 2, B, N)
     m1 = torus_field(_pack(sym1[types, 0], sym1[types, 1]), grid)  # (F, B) + (M,)*d
     tot = _moment_symbols(zero, dc, s_blk[:, None])[types, ..., 0]  # (F, 2, B)
-    mass = _defect(m1, shell, _pack(tot[:, 0], tot[:, 1]))
+    wrap = _wrap_bound(_envelope_profile(m1, grid.dim, reach), grid.nodes_per_axis, reach)
+    mass = _defect(m1, _pack(tot[:, 0], tot[:, 1]), t * dens.sum() * wrap)
     m = dict(zip(types.tolist(), m1))
     if not origin:
         m = {a: f.view(np.float64) for a, f in m.items()}
@@ -740,7 +789,7 @@ def _many_to_two_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoeffici
 
 
 def _many_to_two_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid, starts: list[int],
-                         origin: bool = False, window=Ellipsis
+                         origin: bool = False, window=Ellipsis, reach: int = 0
                          ) -> tuple[np.ndarray, float, bool]:
     """Symbols of the many-to-two moments of the start types ``starts``
     (0-based), the worst ``_defect`` of the first-moment fields inside the
@@ -752,9 +801,11 @@ def _many_to_two_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid, starts:
     the factorial moments F_jl(t, 0, u) = E[N_j(0) N_l(u)] - delta_{jl}
     delta_{u0} m_ij(t, 0), shape (R, 2, 2, N), the integral alone.  The
     integral is ``_doubling_quadrature`` over ``_many_to_two_nodes``; its
-    tail test reads the torus field on ``window`` (default: all of it).  On
-    the diagonal a law with no branching has no integral: its second
-    moment is its first, and the defect is that of the first-moment fields.
+    tail test reads the torus field on ``window`` (default: all of it), and
+    its defect bounds the wrapped terms at output sites of sup-norm radius
+    at most ``reach``.  On the diagonal a law with no branching has no
+    integral: its second moment is its first, and the defect is that of
+    the first-moment fields.
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -771,12 +822,12 @@ def _many_to_two_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid, starts:
         init = _moment_symbols(coef, dc, t)[starts]
     if not integrate:
         mass = 0.0 if origin else _defect(
-            torus_field(init, grid), _torus_shell(grid),
+            torus_field(init, grid),
             _moment_symbols(_origin_coefficients(model), dc, t)[starts, ..., 0])
         return init, mass, True
     return _doubling_quadrature(
         t, init, partial(_many_to_two_nodes, model, grid, coef, _origin_coefficients(model),
-                         _torus_shell(grid), starts, origin),
+                         t, reach, starts, origin),
         lambda sym: torus_field(sym, grid)[window])
 
 
@@ -794,7 +845,8 @@ def second_moment_field(model: TwoTypeModel, t: float, box_radius: int,
     """
     grid = grid or fit_grid(model, t, box_radius)
     window = _window(grid, box_radius)
-    sym2, mass, converged = _many_to_two_symbols(model, t, grid, [0, 1], window=window)
+    sym2, mass, converged = _many_to_two_symbols(model, t, grid, [0, 1], window=window,
+                                                 reach=box_radius)
     return MomentField(t=t, box_radius=box_radius, order=2, dim=model.dim,
                        values=_clip_roundoff(torus_field(sym2, grid)[window]),
                        boundary_mass=mass, degraded=mass > BOUNDARY_TOL or not converged,

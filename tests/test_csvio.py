@@ -198,9 +198,9 @@ GOLDEN = {
             "38e391ec48c8951c4844cbf5456958da62fb3edf2744896e2c6d42857a5df82e"}),
     "epidemic": (["--preset", "fig-z2", "--t", "1", "--box", "6"], {
         "epidemic.csv":
-            "7c6e329ad1354f37ee04dcd3d97dbbc74ec85bc7f11cc389b1d84b29487acbdb",
+            "0c91b42d63012c785a066e31018e47d3f6cd70c6f5d76e02f68aec0ea56178f2",
         "corr.csv":
-            "c16f9f24499cbead98ddb0d2c085203ebac8c71ffc574bf5a0bf2113de455dce"}),
+            "517334b0da453cf66e63189baea23fb50a7d495c6c4ceb2f20eee9dbd7c775ae"}),
     "cells": (["--config", CELLS_D2], {
         "cells.csv":
             "12f2b395d7c674a855b8cc9c98bb09acf7892fc61e993dcd41cdfc2c3cacdeb5"}),

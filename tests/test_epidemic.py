@@ -240,7 +240,7 @@ class TestCorrelations:
             assert not fld.degraded and not m2.degraded
 
     def test_coarse_torus_reports_degraded(self):
-        # fig-z2 at t = 4 spreads well past a 16-node torus's shell
+        # fig-z2 at t = 4 spreads well past a 16-node torus's window
         cfg = preset("fig-z2")
         fld = correlation_ode(cfg.build_model(), 4.0, 4, grid=ThetaGrid(2, 16))
         assert fld.boundary_mass > BOUNDARY_TOL
@@ -263,7 +263,7 @@ class TestCorrelations:
         assert m2.degraded
 
     def test_window_must_fit_the_torus(self):
-        # past M/4 a wrapped convolution term can miss the 3M/8 shell
+        # the output window may reach M/4 (max_pair_window), no further
         model = supercritical_model()
         assert max_pair_window(16) == 4
         with pytest.raises(ValueError, match="grid nodes per axis"):

@@ -10,9 +10,10 @@ import pytest
 from numpy.polynomial.legendre import leggauss, legval, legvander
 from scipy.integrate import DOP853
 from scipy.linalg import expm
+from scipy.signal import fftconvolve
 
 from brw2 import moments
-from brw2.cli import main
+from brw2.cli import _command_grid, _load_config, build_parser, main
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.config import parse_config, preset
 from brw2.epidemic import correlation_ode, epidemic_first_moment_profiles, epidemic_m2
@@ -379,8 +380,28 @@ class TestTorusTransform:
         npt.assert_allclose(torus_symbols(f, grid), sym, atol=1e-14)
         npt.assert_allclose(torus_field(sym, grid), f, atol=1e-15)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_wrap_bound_holds_the_wrapped_terms(self, dim):
+        # a product f = p q convolved with g on a 32-torus: inside the
+        # window |u| <= 8 the cyclic result differs from the linear
+        # convolution only by the wrapped terms, about 1e-4 here
+        nodes, reach = 32, 8
+        grid = ThetaGrid(dim, nodes)
+        x = np.abs(np.indices((nodes,) * dim) - nodes // 2).sum(axis=0)
+        rng = np.random.default_rng(1)
+        p, q, g = (np.exp(-x / decay) * (1.0 + 0.5 * rng.random(x.shape))
+                   for decay in (3.0, 4.0, 2.5))
+        cyclic = torus_field(torus_symbols(p * q, grid) * torus_symbols(g, grid), grid)
+        linear = fftconvolve(p * q, g)          # index u + M
+        lo = nodes - reach
+        err = np.abs(cyclic.real[_window(grid, reach)]
+                     - linear[(slice(lo, lo + 2 * reach + 1),) * dim]).max()
+        bound = moments._wrap_bound(moments._envelope_profile(np.stack([p, q, g]), dim, reach),
+                                    nodes, reach)
+        assert 1e-5 < err <= bound
+
     def test_coarse_grid_reports_degraded(self):
-        # at t = 20 the b+c+ walk spreads past a 16-node torus's 3M/8 shell:
+        # at t = 20 the b+c+ walk spreads past a 16-node torus's window:
         # its window |x| <= 3 is percent off the oracle, and both fields say so
         model = model_case("b+c+")
         grid = ThetaGrid.for_dim(1, 16)
@@ -395,8 +416,8 @@ class TestTorusTransform:
 
     def test_aliased_grid_reports_degraded(self):
         # a critical walk at t = 200 is ~14 sites wide: on 8 nodes its
-        # anti-periodic images cancel, m_11(0) reads 6.1e-8 against 0.0282 and
-        # the shell mass 4.7e-8, but the window sum misses the total by ~1
+        # anti-periodic images cancel, m_11(0) reads 6.1e-8 against 0.0282,
+        # but the window sum misses the total by ~1
         fld = first_moment_field(critical_walk(), 200.0, 0, ThetaGrid(1, 8))
         assert abs(fld.value(1, 1, 0) - 0.02823) > 0.028
         assert fld.boundary_mass > 0.9
@@ -430,17 +451,36 @@ def fields_inputs():
     return out
 
 
+def cli_runs() -> dict[str, list[str]]:
+    """argv of the benchmark's three ``fields`` runs (perfbench's, without
+    --out) and of test_csvio's golden moment and epidemic runs, whose
+    --config value is YAML text."""
+    from test_csvio import GOLDEN
+    configs = Path(__file__).parents[1] / "perfbench/configs"
+    return {"moments-d1": ["moments", "--config", str(configs / "moments-d1.yaml")],
+            "moments-d2": ["moments", "--config", str(configs / "moments-d2.yaml")],
+            "fig-z2": ["epidemic", "--preset", "fig-z2"],
+            **{f"golden-{case}": [case, *GOLDEN[case][0]] for case in ("moments", "epidemic")}}
+
+
 class TestFitGrid:
     def test_fields_inputs(self):
-        assert [fit_grid(*args).nodes_per_axis for args in fields_inputs()] == [120, 60, 90]
+        assert [fit_grid(*args).nodes_per_axis for args in fields_inputs()] == [120, 60, 72]
 
     def test_wide_field_gets_a_wide_grid(self):
         model = critical_walk()
         ref = first_moment_field(model, 200.0, 0, ThetaGrid(1, 1024))
-        assert fit_grid(model, 200.0, 0).nodes_per_axis >= 192
+        # the window-sum gap, twice the mass past 72 sites (5 standard
+        # deviations), is 8.1e-7 at M = 144 and 1.3e-5 at M = 128
+        grid = fit_grid(model, 200.0, 0)
+        assert grid.nodes_per_axis >= 144
         fld = first_moment_field(model, 200.0, 0)
         assert abs(fld.value(1, 1, 0) - ref.value(1, 1, 0)) <= 1e-9
-        assert not fld.degraded
+        # every route passes on the fitted grid
+        for res in (fld, second_moment_field(model, 200.0, 0, grid),
+                    epidemic_m2(model, 200.0, 0, 0, grid),
+                    correlation_ode(model, 200.0, 0, grid=grid)):
+            assert res.boundary_mass <= BOUNDARY_TOL and not res.degraded, res
 
     def test_window_past_the_cap_gets_the_cap(self):
         # so `--box 65` at d = 1 is still refused (test_config_cli, before any work)
@@ -448,6 +488,30 @@ class TestFitGrid:
         assert fit_grid(model, 1.0, 65) == ThetaGrid.for_dim(1)
         with pytest.raises(ValueError):
             first_moment_field(model, 1.0, 65)
+
+    @pytest.mark.parametrize("argv", cli_runs().values(), ids=cli_runs().keys())
+    def test_routes_pass_on_the_fitted_grid(self, argv, tmp_path):
+        # the fit tests each grid on the defect that the routes report, so
+        # none of the routes a command runs may read past BOUNDARY_TOL on
+        # the grid the command fits
+        if argv[1] == "--config" and "\n" in argv[2]:       # YAML text
+            (tmp_path / "cfg.yaml").write_text(argv[2])
+            argv = [*argv[:2], str(tmp_path / "cfg.yaml"), *argv[3:]]
+        cfg = _load_config(build_parser().parse_args(argv))
+        model, exp = cfg.build_model(), cfg.experiment
+        times, box = sorted(set(exp.t_list)), exp.box_radius
+        if argv[0] == "moments":
+            grid, _ = _command_grid(cfg, model, ("box_radius",))
+            results = [route(model, t, box, grid) for t in times
+                       for route in (first_moment_field, second_moment_field)]
+        else:
+            grid, _ = _command_grid(cfg, model, ("corr_box_radius", "box_radius"))
+            origin = (0,) * model.dim
+            results = [first_moment_field(model, t, box, grid) for t in times]
+            results += [epidemic_m2(model, t, origin, origin, grid) for t in times]
+            results += correlation_ode(model, times, exp.corr_box_radius, grid=grid)
+        for res in results:
+            assert res.boundary_mass <= BOUNDARY_TOL and not res.degraded, res
 
     def test_explicit_grid_wins(self, tmp_path):
         cfg = Path(__file__).parents[1] / "perfbench/configs/moments-d1.yaml"
@@ -675,6 +739,41 @@ class TestQuadratureEstimate:
         calls.clear()
         pair = correlation_ode(model, 4.0, z2.experiment.corr_box_radius, grid=grid)
         assert calls == [32] and pair.converged
+
+
+COARSE_GRIDS = (40, 48, 54, 60, 64)
+
+
+def _pair_values(pair, radius: int) -> np.ndarray:
+    return np.stack([pair.r11, pair.r12, pair.r22]).reshape(
+        (3,) + (2 * radius + 1,) * pair.dim)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["moments-d1", "moments-d2", "fig-z2"])
+def test_defect_never_reads_below_the_error(case):
+    # on coarse grids, with the window cut to M/4, each route's defect is at
+    # least its largest error on the window against the cap grid (256 nodes
+    # at d = 1, 128^2 at d = 2, where fig-z2's window-sum gap is 1.6e-15).
+    # The M2 view at u = (w, ..., w) is checked against the diagonal there.
+    model, t, window = fields_inputs()[case]
+    dim, top = model.dim, min(window, COARSE_GRIDS[-1] // 4)
+    cap = ThetaGrid.for_dim(dim)
+    ref = {"first": first_moment_field(model, t, top, cap).values,
+           "second": second_moment_field(model, t, top, cap).values,
+           "pair": _pair_values(correlation_ode(model, t, top, grid=cap), top)}
+    for nodes in COARSE_GRIDS:
+        grid, w = ThetaGrid(dim, nodes), min(window, nodes // 4)
+        cut = (Ellipsis,) + (slice(top - w, top + w + 1),) * dim
+        first = first_moment_field(model, t, w, grid)
+        second = second_moment_field(model, t, w, grid)
+        pair = correlation_ode(model, t, w, grid=grid)
+        m2 = epidemic_m2(model, t, (0,) * dim, (w,) * dim, grid)
+        for name, res, err in (
+                ("first", first, np.abs(first.values - ref["first"][cut]).max()),
+                ("second", second, np.abs(second.values - ref["second"][cut]).max()),
+                ("pair", pair, np.abs(_pair_values(pair, w) - ref["pair"][cut]).max()),
+                ("m2", m2, abs(m2.value - ref["second"][(0, 0) + (top + w,) * dim]))):
+            assert res.boundary_mass >= err, (nodes, name, res.boundary_mass, err)
 
 
 def test_solve_chained_leaves_no_solver_alive(monkeypatch):

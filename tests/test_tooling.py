@@ -3,6 +3,7 @@ names and the route-parity script."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,25 @@ def test_benchmark_hooks_read_the_epidemic_results(workloads):
         tracer.wrapped[("brw2.epidemic", name)](result, (), {})
     assert hooks.degraded == {}
     assert 0.0 < hooks.corr_boundary_mass < 1e-6
+
+
+def test_fields_round_passes_its_gates_on_the_fitted_grids(workloads, tmp_path):
+    # the benchmark's fields round in-process, with its argv and its gates:
+    # a degraded field fails its operation, so no CSV row may be degraded,
+    # and the grids the three commands fit are pinned
+    fields, tracer = workloads.Fields(), RecordingTracer()
+    ctx = workloads.Context(0, tmp_path, tracer, workloads.Hooks(tracer))
+    fields.check(None, fields.run(fields.setup(), ctx), ctx)
+    assert ctx.failures == []
+    grids = []
+    for run in ("d1", "d2", "fz2"):
+        manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+        grids.append(manifest["theta_grid"]["nodes_per_axis"])
+        for path in sorted((tmp_path / run).glob("*.csv")):
+            header, *rows = path.read_text().splitlines()
+            col = header.split(",").index("degraded")
+            assert all(row.split(",")[col] == "0" for row in rows), path
+    assert grids == [120, 60, 72]
 
 
 def test_parity_sweep_prints_a_row_per_case(capsys):
