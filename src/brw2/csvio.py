@@ -1,14 +1,19 @@
 """Deterministic CSV and manifest emission.
 
 A data CSV is written from a ``Table``: one numpy column per header field.
-Each column is formatted as a whole by its dtype: integers with ``str``,
-bools as ``1``/``0``, floats with 17 significant digits (``"%.17g"``, the
-bytes of ``format(v, ".17g")``), and text with RFC 4180 quoting, decided
-once per distinct value: a text field that is empty or holds a comma, a
-double quote or a line break is quoted and its inner quotes doubled; numbers
-never are.  Rows are joined and written CHUNK_ROWS at a time, so memory
-beyond the columns themselves stays bounded whatever the row count.  Reruns
-with identical config and seed are byte-identical.  The manifest carries the
+Rows are written CHUNK_ROWS at a time, so memory beyond the columns
+themselves stays bounded whatever the row count.  Within a chunk every
+distinct value is formatted once: numbers across all columns of one format,
+text per column.  Bools (as ``1``/``0``) and integers share one set of
+``%d`` texts (uint64, which int64 cannot hold, has its own), so a record id
+and its children's parent ids are formatted once.  Floats share one set of
+17-significant-digit texts (``"%.17g"``, the bytes of ``format(v, ".17g")``),
+keyed by their bit pattern so that 0.0 and -0.0 keep their own texts; a
+record's t1 reuses its parent's t2 text.
+Text gets RFC 4180 quoting: a field that is empty or holds a comma, a double
+quote or a line break is quoted and its inner quotes doubled; numbers never
+are.  The chunk's fields and separators are then joined once.  Reruns with
+identical config and seed are byte-identical.  The manifest carries the
 config hash, seed and library versions plus a timestamp; the timestamp is the
 one field excluded from the determinism contract.
 """
@@ -30,7 +35,6 @@ __all__ = ["CHUNK_ROWS", "Table", "write_csv", "write_manifest"]
 # rows formatted, joined and written per write call
 CHUNK_ROWS = 8192
 
-_BOOL_TEXT = ("0", "1")
 _TEXT_KINDS = "UO"    # numpy str, or objects whose str() is the field
 
 
@@ -76,32 +80,64 @@ def _quote(text: str) -> str:
     return text
 
 
-def _column_text(values: np.ndarray) -> list[str]:
-    """The CSV fields of one column slice, formatted by its dtype."""
-    kind = values.dtype.kind
+def _text_fields(values: np.ndarray) -> list[str]:
+    """The quoted CSV fields of one text column slice, one quote per value."""
     items = values.tolist()
-    if kind == "b":
-        return list(map(_BOOL_TEXT.__getitem__, items))
-    if kind in "iu":
-        return list(map(str, items))
-    if kind == "f":
-        return list(map("%.17g".__mod__, items))
     quoted = {v: _quote(str(v)) for v in set(items)}
     return list(map(quoted.__getitem__, items))
+
+
+def _number_keys(values: np.ndarray) -> tuple[str, np.ndarray]:
+    """A number column's format and its values as sort keys.  Floats are
+    keyed by their float64 bit pattern, so 0.0 and -0.0 keep their texts;
+    bools and integers that fit int64 share one key space, uint64 has its
+    own."""
+    if values.dtype.kind == "f":
+        return "%.17g", values.astype(np.float64).view(np.uint64)
+    if np.can_cast(values.dtype, np.int64):
+        return "%d", values.astype(np.int64)
+    return "%u", values
+
+
+def _chunk_fields(part: list[np.ndarray]) -> list[list[str]]:
+    """The CSV fields of one chunk's column slices.  Every distinct number
+    is formatted once per format across all its columns, so a value that
+    repeats, such as a record's t1 and its parent's t2 or a record id and
+    its children's parent id, costs one format."""
+    fields: list = [None] * len(part)
+    groups: dict[str, list[tuple[int, np.ndarray]]] = {}
+    for j, values in enumerate(part):
+        if values.dtype.kind in _TEXT_KINDS:
+            fields[j] = _text_fields(values)
+        else:
+            fmt, keys = _number_keys(values)
+            groups.setdefault(fmt, []).append((j, keys))
+    for fmt, members in groups.items():
+        uniq, index = np.unique(np.concatenate([keys for _, keys in members]),
+                                return_inverse=True)
+        numbers = uniq.view(np.float64) if fmt == "%.17g" else uniq
+        texts = np.array(list(map(fmt.__mod__, numbers.tolist())), dtype=object)
+        for (j, _), idx in zip(members, index.reshape(len(members), -1)):
+            fields[j] = texts[idx].tolist()
+    return fields
 
 
 def write_csv(path: Path, header: list[str], table: Table) -> None:
     if len(header) != len(table.columns):
         raise ValueError(f"{len(header)} header fields for "
                          f"{len(table.columns)} columns")
+    width = 2 * len(table.columns)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(table), CHUNK_ROWS):
-            fields = [_column_text(col[start:start + CHUNK_ROWS])
-                      for col in table.columns]
-            fh.write("\r\n".join(map(",".join, zip(*fields))))
-            fh.write("\r\n")
+            part = [col[start:start + CHUNK_ROWS] for col in table.columns]
+            # fields and separators interleaved, row by row, then one join
+            cells = [","] * (width * len(part[0]))
+            for j, text in enumerate(_chunk_fields(part)):
+                cells[2 * j::width] = text
+            cells[width - 1::width] = ["\r\n"] * len(part[0])
+            fh.write("".join(cells))
 
 
 def write_manifest(out_dir: Path, command: str, cfg_hash: str, seed: int,

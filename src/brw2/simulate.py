@@ -24,18 +24,22 @@ uniform and, for a jump, its jump-index uniform.  Records are numbered in
 the order they leave a LIFO stack, onto which a branching record pushes its
 k type-1 children and then its l type-2 children.
 
-The loop keeps only what the draw order depends on: per record its type,
-t2, an outcome code and its parent.  A jumped particle is always the next
-record, so a jump chain runs in place, without a trip through the stack.
-The loop and decode tables are compiled once per model (``_tables``; the
-model is immutable) and shared by all its runs.  Everything else is decoded
-after the loop with numpy: t1 is the parent's t2 (0.0 at a root), and one
-table, indexed by outcome code, gives the fate and aux columns.  Positions
-are decoded on first access: a record's position is its root's initial
-site plus the jump offsets of its ancestors, summed by pointer doubling
-over the parents, so the count-only sweeps never pay for it.  A completed
-``SimulationRun`` holds its records as columns (no per-record objects) and
-is immutable.
+A jumped particle is always the next record, so a jump chain runs in
+place, without a trip through the stack.  The loop keeps only what the draw
+order depends on, and does its bookkeeping per chain where it can: per
+record it appends its decode-table row (type and outcome in one index) and
+t2; per chain, that is per popped stack entry, it appends the head's index
+and parent and checks the event cap once.  Every record but a chain head
+has the record before it as parent.  The loop and decode tables are
+compiled once per model (``_tables``; the model is immutable) and shared by
+all its runs.  Everything else is decoded after the loop with numpy: the
+type, fate and aux columns from the decode table by row, and t1 as the
+parent's t2 (0.0 at a root).  Positions are decoded on first access: a
+record's position is its root's initial site plus the jump offsets of its
+ancestors, summed along runs of consecutive records and by pointer doubling
+over the run heads (``_ancestor_sums``), so the count-only sweeps never pay
+for it.  A completed ``SimulationRun`` holds its records as columns (no
+per-record objects) and is immutable.
 
 Replicas are embarrassingly parallel: ``map_replicas`` is the one loop over
 them, used by ``ensemble``, the survival and conditional sweeps and the
@@ -125,19 +129,36 @@ def _uniform_chunks(rng: np.random.Generator) -> Iterator[list[float]]:
 def _ancestor_sums(parents: np.ndarray, values: np.ndarray) -> np.ndarray:
     """out[i] = values[i] + out[parents[i]], summed up to a root (parent -1).
 
-    Pointer doubling: each pass adds the partial sum of the ancestor a node
-    points at and then points it at that ancestor's ancestor, so a node of
-    depth k is done after ceil(log2(k + 1)) passes over the unfinished nodes.
+    ``parents`` may be any forest.  Records whose parent is the record before
+    them extend a run, and a run's sums are one segmented ``cumsum`` on top
+    of its head's parent's sum.  Only the run heads are then summed by
+    pointer doubling, over their own tree: each pass adds the partial sum of
+    the run a head points at and then points it at that run's ancestor, so a
+    run of depth k is done after ceil(log2(k + 1)) passes over the unfinished
+    runs.  ``values`` must be integers: a run's sums are differences of one
+    running total, which is exact only in integer arithmetic.
     """
-    out = values.copy()
-    ptr = parents.copy()
+    n = len(parents)
+    head = parents != np.arange(-1, n - 1)
+    head[:1] = True
+    heads = np.flatnonzero(head)
+    run_of = np.cumsum(head) - 1
+    total = np.cumsum(values, axis=0)
+    before = np.zeros_like(values[heads])
+    before[1:] = total[heads[1:] - 1]
+    out = total - before[run_of]
+    # each run adds its head's parent's sum; the heads form their own forest
+    up = parents[heads]
+    ptr = np.where(up >= 0, run_of[up], -1)
+    add = out[up]
+    add[up < 0] = 0
     todo = np.flatnonzero(ptr >= 0)
     while todo.size:
-        up = ptr[todo]
-        out[todo] += out[up]
-        ptr[todo] = ptr[up]
+        nxt = ptr[todo]
+        add[todo] += add[nxt]
+        ptr[todo] = ptr[nxt]
         todo = todo[ptr[todo] >= 0]
-    return out
+    return out + add[run_of]
 
 
 @dataclass(frozen=True)
@@ -149,8 +170,9 @@ class SimulationRun:
     equals its parent's t2, and censored records (t2 == T) count as alive
     on the closed interval [t1, T].
 
-    The event loop keeps per record only its type, t2, outcome code and
-    parent.  t1 is the parent's t2 (0.0 at a root), and ``positions`` is
+    The event loop keeps per record only its decode-table row and t2, and
+    per chain its head's index and parent; the other columns are decoded
+    from those.  t1 is the parent's t2 (0.0 at a root), and ``positions`` is
     decoded from the parents and jump offsets on its first access, so a
     reducer that only counts never pays for it.
     """
@@ -201,10 +223,10 @@ class SimulationRun:
 class _CompiledType:
     """Per-type sampling and decode tables for the event loop.
 
-    A record's outcome code is -1 when it is censored, its slot in
-    ``bounds`` (death, each branching event in order, conversion), or
-    ``len(bounds)`` plus its jump index.  Row code + 1 of ``decode`` holds
-    that outcome's fate, aux_a and aux_b.
+    A record's outcome is censoring, a slot in ``bounds`` (death, each
+    branching event in order, conversion) or a jump index.  ``decode`` holds
+    one (fate, aux_a, aux_b) row per outcome, in that order: censored, then
+    the slots, then the jumps.
     """
 
     __slots__ = ("rho", "inv_rho", "bounds", "children", "jump_cum", "decode")
@@ -243,7 +265,8 @@ class _CompiledType:
 class _Tables(NamedTuple):
     """Everything ``run`` and ``SimulationRun.positions`` read of a model."""
 
-    loop: dict          # type -> [type, 1/rho, bounds, children, jump_cum, last jump]
+    loop: dict          # type -> [1/rho, bounds, children, jump_cum, last jump,
+    #                              censored row, slot-row base, jump-row base]
     fates: np.ndarray   # decode columns by row: type-1 rows, then type-2 rows
     aux_a: np.ndarray
     aux_b: np.ndarray
@@ -256,22 +279,27 @@ class _Tables(NamedTuple):
 def _tables(model: TwoTypeModel) -> _Tables:
     """The model's loop and decode tables, compiled once per model.
 
-    The model is immutable, so the tables are shared by all its runs.  In a
-    loop table the children entry past the last slot is None, which marks a
-    jump; every other entry lists the children's own loop tables.
+    The model is immutable, so the tables are shared by all its runs.  A
+    loop table carries its type's decode rows, so the loop appends each
+    record's row directly: the censored row, slot-row base + slot, or
+    jump-row base + jump index.  In a loop table the children entry past
+    the last slot is None, which marks a jump; every other entry lists the
+    children's own loop tables.
     """
     comp = {1: _CompiledType(model, 1), 2: _CompiledType(model, 2)}
-    loop = {p: [p, c.inv_rho, c.bounds, None, c.jump_cum, len(c.jump_cum) - 1]
+    base = {1: 0, 2: len(comp[1].decode)}
+    loop = {p: [c.inv_rho, c.bounds, None, c.jump_cum, len(c.jump_cum) - 1,
+                base[p], base[p] + 1, base[p] + 1 + len(c.bounds)]
             for p, c in comp.items()}
     for p, c in comp.items():
-        loop[p][3] = [tuple(loop[q] for q in kids) for kids in c.children] + [None]
+        loop[p][2] = [tuple(loop[q] for q in kids) for kids in c.children] + [None]
     decode = np.array(comp[1].decode + comp[2].decode, dtype=np.int64)
     offsets = np.concatenate([model.kernel1.offsets, model.kernel2.offsets,
                               np.zeros((1, model.dim), dtype=np.int64)])
     return _Tables(loop=loop, fates=decode[:, 0].astype(np.int8),
                    aux_a=decode[:, 1].astype(np.int32),
                    aux_b=decode[:, 2].astype(np.int32),
-                   type2_row=len(comp[1].decode), offsets=offsets,
+                   type2_row=base[2], offsets=offsets,
                    type2_offset=len(model.kernel1.offsets))
 
 
@@ -280,7 +308,8 @@ def run(model: TwoTypeModel, horizon: float, initial, seed: int,
     """Simulate one replica to the horizon; deterministic in all arguments.
 
     ``initial`` is a sequence of (type, position) pairs.  Raises
-    ``EventCapExceeded`` once more than ``event_cap`` records are produced.
+    ``EventCapExceeded`` when more than ``event_cap`` records are produced;
+    the cap is checked at the end of each jump chain.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -292,55 +321,54 @@ def run(model: TwoTypeModel, horizon: float, initial, seed: int,
     log = math.log
     T = float(horizon)
 
-    types: list[int] = []
+    rows: list[int] = []
     t2s: list[float] = []
-    codes: list[int] = []
-    parents: list[int] = []
-    add_type, add_t2 = types.append, t2s.append
-    add_code, add_parent = codes.append, parents.append
+    heads: list[int] = []
+    head_parents: list[int] = []
+    add_row, add_t2 = rows.append, t2s.append
 
     stack = [(tables.loop[p], 0.0, -1) for p, _ in reversed(init)]
     pop, push = stack.pop, stack.append
-    rid = -1
     while stack:
         tab, t1, parent = pop()
-        ptype, inv_rho, bounds, children, jump_cum, last_jump = tab
+        (inv_rho, bounds, children, jump_cum, last_jump,
+         censored_row, slot_row, jump_row) = tab
+        heads.append(len(t2s))
+        head_parents.append(parent)
         # a jump's continuation is the next record, so a jump chain stays here
         while True:
-            rid += 1
-            if rid >= event_cap:
-                raise EventCapExceeded(event_cap, replica_id)
-            add_type(ptype)
-            add_parent(parent)
             t2 = t1 - log(1.0 - nextu()) * inv_rho
             if t2 >= T:
                 add_t2(T)
-                add_code(-1)
+                add_row(censored_row)
                 break
             add_t2(t2)
             slot = bisect_right(bounds, nextu())
             kids = children[slot]
             if kids is not None:
-                add_code(slot)
+                add_row(slot_row + slot)
+                rid = len(t2s) - 1
                 for kid in kids:
                     push((kid, t2, rid))
                 break
-            add_code(slot + bisect_right(jump_cum, nextu(), 0, last_jump))
-            t1, parent = t2, rid
+            add_row(jump_row + bisect_right(jump_cum, nextu(), 0, last_jump))
+            t1 = t2
+        # once per chain: a chain passes the cap by at most its own length
+        if len(t2s) > event_cap:
+            raise EventCapExceeded(event_cap, replica_id)
 
-    # decode: one table row per (type, outcome code)
-    types = np.array(types, dtype=np.int8)
-    parents = np.array(parents, dtype=np.int64)
+    # decode: a record's parent is the record before it, unless it heads a chain
+    row = np.array(rows, dtype=np.int64)
+    parents = np.arange(-1, len(rows) - 1, dtype=np.int64)
+    parents[heads] = head_parents
     t2 = np.array(t2s)
     t1 = t2[parents]
     t1[parents < 0] = 0.0
-    row = np.array(codes, dtype=np.int64) + 1
-    row[types == 2] += tables.type2_row
     return SimulationRun(
         model=model, horizon=T, seed=seed, replica_id=replica_id,
-        initial=tuple(init), types=types, t1=t1, t2=t2,
-        fates=tables.fates[row], aux_a=tables.aux_a[row], aux_b=tables.aux_b[row],
-        parents=parents)
+        initial=tuple(init), types=(row >= tables.type2_row).astype(np.int8) + 1,
+        t1=t1, t2=t2, fates=tables.fates[row], aux_a=tables.aux_a[row],
+        aux_b=tables.aux_b[row], parents=parents)
 
 
 def _pos_tuple(x, dim: int) -> tuple[int, ...]:

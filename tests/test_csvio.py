@@ -71,7 +71,8 @@ def text_column(n):
 
 
 COLUMN_KINDS = [int_column(np.int8), int_column(np.int32), int_column(np.int64),
-                bool_column, float_column, text_column]
+                int_column(np.uint8), int_column(np.uint64), bool_column, float_column,
+                text_column]
 
 
 @st.composite
@@ -125,6 +126,41 @@ class TestWriteCsv:
         path = tmp_path / "big.csv"
         write_csv(path, ["i", "f", "s"], Table(columns))
         assert path.read_bytes() == reference_bytes(["i", "f", "s"], columns)
+
+    def test_signed_zeros_and_nans_keep_their_text(self, tmp_path):
+        # one text per distinct float bit pattern: 0.0 and -0.0 compare equal
+        # as values but must not share a text; every nan reads nan
+        nan = math.nan
+        columns = [np.array([0.0, -0.0, nan, -nan, 1.5]),
+                   np.array([-0.0, 0.0, -nan, nan, 1.5])]
+        path = tmp_path / "z.csv"
+        write_csv(path, ["a", "b"], Table(columns))
+        assert path.read_bytes() == reference_bytes(["a", "b"], columns)
+        assert path.read_text().splitlines() == ["a,b", "0,-0", "-0,0", "nan,nan",
+                                                 "nan,nan", "1.5,1.5"]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_history_shaped_table_across_chunks(self, tmp_path, chunk):
+        # t1 is the parent's t2 and parent_id a record_id, so most texts are
+        # shared within a chunk; some parents sit in an earlier chunk
+        rng = np.random.default_rng(5)
+        n = 40
+        parents = np.array([-1 if i == 0 or rng.random() < 0.1 else
+                            i - 1 if rng.random() < 0.7 else int(rng.integers(0, i))
+                            for i in range(n)])
+        t2 = np.cumsum(rng.exponential(size=n))
+        t2[::9] = 10.0
+        t1 = np.where(parents < 0, 0.0, t2[parents])
+        assert (parents < np.arange(n) - chunk).any()
+        fates = np.array(["died", "branched(2,0)", "jumped(1)"])
+        columns = [np.full(n, 3), np.arange(n), parents,
+                   rng.integers(1, 3, n).astype(np.int8), rng.integers(-4, 5, n),
+                   t1, t2, fates[rng.integers(0, 3, n)]]
+        header = ["replica", "record_id", "parent_id", "type", "x1", "t1", "t2", "fate"]
+        path = tmp_path / "h.csv"
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
+            write_csv(path, header, Table(columns))
+        assert path.read_bytes() == reference_bytes(header, columns)
 
     def test_len_is_row_count_and_concat_stacks(self):
         a = Table([[1, 2], [0.5, 1.5], ["p", "q"]])

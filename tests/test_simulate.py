@@ -5,6 +5,8 @@ from functools import partial
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from brw2 import simulate
@@ -151,6 +153,20 @@ class TestRunBasics:
         with pytest.raises(EventCapExceeded, match=f"cap of {n - 1} records"):
             run(model, 30.0, initial, seed=18, event_cap=n - 1)
 
+    def test_event_cap_inside_one_jump_chain(self):
+        """A pure walk is one jump chain; a cap crossed inside it raises, and
+        a cap of exactly the chain's length passes."""
+        model, initial = walk_only_model(), [(1, 0)]
+        free = run(model, 60.0, initial, seed=4)
+        n = free.n_records
+        assert n > 20
+        npt.assert_array_equal(free.parents, np.arange(-1, n - 1))
+        capped = run(model, 60.0, initial, seed=4, event_cap=n)
+        npt.assert_array_equal(capped.t2, free.t2)
+        for cap in (1, n // 2, n - 1):
+            with pytest.raises(EventCapExceeded, match=f"cap of {cap} records"):
+                run(model, 60.0, initial, seed=4, event_cap=cap)
+
     def test_roots_and_positions_match_reference_loops(self):
         model = conversion_model_2d()
         initial = [(1 + (i % 2), (i % 8, i // 8)) for i in range(40)]
@@ -271,6 +287,56 @@ class TestCompiledTables:
         for one, two in zip(seq, par):
             for a_col, b_col in zip(one, two):
                 npt.assert_array_equal(a_col, b_col)
+
+
+@st.composite
+def forests(draw):
+    """(parents, values): a forest over n records whose parents are a root
+    (-1), the record before or any earlier record, relabelled by a random
+    permutation half the time, so roots and run heads sit at any index; the
+    values are (n,) or (n, d) integers."""
+    n = draw(st.integers(0, 30))
+    parents = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["root", "previous", "earlier"]))
+        if i == 0 or kind == "root":
+            parents.append(-1)
+        else:
+            parents.append(i - 1 if kind == "previous" else draw(st.integers(0, i - 1)))
+    parents = np.array(parents, dtype=np.int64)
+    if draw(st.booleans()):
+        order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+        label = np.empty(n, dtype=np.int64)
+        label[order] = np.arange(n)
+        parents = np.where(parents >= 0, label[np.maximum(parents, 0)], -1)[order]
+    shape = draw(st.sampled_from([(n,), (n, 1), (n, 3)]))
+    size = math.prod(shape)
+    values = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=size, max_size=size))
+    return parents, np.array(values, dtype=np.int64).reshape(shape)
+
+
+def _ancestor_sums_by_loop(parents, values):
+    out = values.copy()
+    for i in range(len(parents)):
+        p = parents[i]
+        while p >= 0:
+            out[i] += values[p]
+            p = parents[p]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests())
+@example((np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+@example((np.zeros((0,), dtype=np.int64), np.zeros((0, 2), dtype=np.int64)))
+@example((np.array([-1]), np.array([7])))
+@example((np.array([-1]), np.array([[7, -3]])))
+@example((np.array([-1, 0, 1, 0, -1, 4]), np.arange(6)))
+def test_ancestor_sums_match_a_per_record_loop(forest):
+    parents, values = forest
+    got = simulate._ancestor_sums(parents, values)
+    assert got.dtype == values.dtype and got.shape == values.shape
+    npt.assert_array_equal(got, _ancestor_sums_by_loop(parents, values))
 
 
 class TestLazyPositions:

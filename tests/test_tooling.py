@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import brw2.cli  # noqa: F401  (the benchmark wraps names after this import)
+import brw2.simulate
 from brw2.config import preset
 from brw2.epidemic import correlation_ode, epidemic_m2
 
@@ -86,6 +87,28 @@ def test_fields_round_passes_its_gates_on_the_fitted_grids(workloads, tmp_path):
             col = header.split(",").index("degraded")
             assert all(row.split(",")[col] == "0" for row in rows), path
     assert grids == [120, 60, 72]
+
+
+def test_fig_z1_round_passes_its_gates(workloads, tmp_path):
+    # the benchmark's fig-z1-cli round in-process under its real untimed
+    # tracer, so the gates on the history CSV (rows = simulated records,
+    # record ids 0..n-1, snapshot totals = alive records) run here too
+    tracer = _load(ROOT / "perfbench" / "tracer.py").Tracer(timed=False)
+    hooks = workloads.Hooks(tracer)
+    fig, seed = workloads.FigZ1Cli(), 1
+    ctx = workloads.Context(seed, tmp_path, tracer, hooks)
+    cfg = fig.setup()
+    try:
+        hooks.install()
+        outputs = fig.run(cfg, ctx)
+    finally:
+        tracer.uninstall()
+    assert not hasattr(brw2.simulate.run, "__wrapped__")
+    res = fig.check(cfg, outputs, ctx)
+    assert ctx.failures == []
+    # both commands simulated the replica, and the history has its records
+    assert hooks.engine_records == 2 * hooks.records[(seed, 0)]
+    assert res["records"] == hooks.records[(seed, 0)] > 100_000
 
 
 def test_parity_sweep_prints_a_row_per_case(capsys):
