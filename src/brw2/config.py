@@ -363,36 +363,23 @@ def _fig_z1() -> RunConfig:
     kappa 4.  Law: mu1=0.25, beta1(2,0)=beta1(1,1)=0.125, mu2=0.375,
     beta2(0,2)=0.125, beta2(1,1)=0.25 (critical, irreducible).
     """
-    text = """
-model:
-  dim: 1
-  kappa1: 1.0
-  kappa2: 4.0
-  kernel1:
-    - [[1], 0.5]
-    - [[-1], 0.5]
-  kernel2:
-    - [[1], 0.16666666666666666]
-    - [[-1], 0.16666666666666666]
-    - [[2], 0.16666666666666666]
-    - [[-2], 0.16666666666666666]
-    - [[3], 0.16666666666666666]
-    - [[-3], 0.16666666666666666]
-  law:
-    mu1: 0.25
-    mu2: 0.375
-    beta1: [[2, 0, 0.125], [1, 1, 0.125]]
-    beta2: [[0, 2, 0.125], [1, 1, 0.25]]
-experiment:
-  horizon: 200.0
-  t_list: [1.0, 5.0, 20.0, 50.0, 100.0, 200.0]
-  replicas: 1
-  seed: 0
-  out_dir: out
-"""
-    cfg = parse_config(text)
-    initial = tuple((1, (x,)) for x in range(300))
-    return replace(cfg, experiment=replace(cfg.experiment, initial=initial))
+    k2 = [[[z], 1.0 / 6.0] for step in (1, 2, 3) for z in (step, -step)]
+    doc = {
+        "model": {
+            "dim": 1, "kappa1": 1.0, "kappa2": 4.0,
+            "kernel1": [[[1], 0.5], [[-1], 0.5]],
+            "kernel2": k2,
+            "law": {"mu1": 0.25, "mu2": 0.375,
+                    "beta1": [[2, 0, 0.125], [1, 1, 0.125]],
+                    "beta2": [[0, 2, 0.125], [1, 1, 0.25]]},
+        },
+        "experiment": {
+            "horizon": 200.0,
+            "t_list": [1.0, 5.0, 20.0, 50.0, 100.0, 200.0],
+            "initial": [[1, [x]] for x in range(300)],
+        },
+    }
+    return _parse_doc(doc)
 
 
 def _fig_z2() -> RunConfig:

@@ -3,13 +3,14 @@
 A data CSV is written from a ``Table``: one numpy column per header field.
 Rows are written CHUNK_ROWS at a time, so memory beyond the columns
 themselves stays bounded whatever the row count.  Within a chunk every
-distinct value is formatted once: numbers across all columns of one format,
-text per column.  Bools (as ``1``/``0``) and integers share one set of
-``%d`` texts (uint64, which int64 cannot hold, has its own), so a record id
-and its children's parent ids are formatted once.  Floats share one set of
-17-significant-digit texts (``"%.17g"``, the bytes of ``format(v, ".17g")``),
-keyed by their bit pattern so that 0.0 and -0.0 keep their own texts; a
-record's t1 reuses its parent's t2 text.
+distinct value is formatted once: numbers across all columns of one key
+space, text per column.  Bools (as ``1``/``0``) and integers share one set
+of texts, each the ``str`` of a Python int (uint64, which int64 cannot
+hold, has its own set), so a record id and its children's parent ids are
+formatted once.  Floats share one set of 17-significant-digit texts
+(``"%.17g"``, the bytes of ``format(v, ".17g")``), keyed by their bit
+pattern so that 0.0 and -0.0 keep their own texts; a record's t1 reuses
+its parent's t2 text.
 Text gets RFC 4180 quoting: a field that is empty or holds a comma, a double
 quote or a line break is quoted and its inner quotes doubled; numbers never
 are.  The chunk's fields and separators are then joined once.  Reruns with
@@ -88,20 +89,20 @@ def _text_fields(values: np.ndarray) -> list[str]:
 
 
 def _number_keys(values: np.ndarray) -> tuple[str, np.ndarray]:
-    """A number column's format and its values as sort keys.  Floats are
+    """A number column's key space and its values as sort keys.  Floats are
     keyed by their float64 bit pattern, so 0.0 and -0.0 keep their texts;
     bools and integers that fit int64 share one key space, uint64 has its
     own."""
     if values.dtype.kind == "f":
-        return "%.17g", values.astype(np.float64).view(np.uint64)
+        return "float", values.astype(np.float64).view(np.uint64)
     if np.can_cast(values.dtype, np.int64):
-        return "%d", values.astype(np.int64)
-    return "%u", values
+        return "int", values.astype(np.int64)
+    return "uint", values
 
 
 def _chunk_fields(part: list[np.ndarray]) -> list[list[str]]:
     """The CSV fields of one chunk's column slices.  Every distinct number
-    is formatted once per format across all its columns, so a value that
+    is formatted once per key space across all its columns, so a value that
     repeats, such as a record's t1 and its parent's t2 or a record id and
     its children's parent id, costs one format."""
     fields: list = [None] * len(part)
@@ -110,13 +111,16 @@ def _chunk_fields(part: list[np.ndarray]) -> list[list[str]]:
         if values.dtype.kind in _TEXT_KINDS:
             fields[j] = _text_fields(values)
         else:
-            fmt, keys = _number_keys(values)
-            groups.setdefault(fmt, []).append((j, keys))
-    for fmt, members in groups.items():
+            space, keys = _number_keys(values)
+            groups.setdefault(space, []).append((j, keys))
+    for space, members in groups.items():
         uniq, index = np.unique(np.concatenate([keys for _, keys in members]),
                                 return_inverse=True)
-        numbers = uniq.view(np.float64) if fmt == "%.17g" else uniq
-        texts = np.array(list(map(fmt.__mod__, numbers.tolist())), dtype=object)
+        if space == "float":
+            texts = map("%.17g".__mod__, uniq.view(np.float64).tolist())
+        else:                        # a Python int's str is its %d text
+            texts = map(str, uniq.tolist())
+        texts = np.array(list(texts), dtype=object)
         for (j, _), idx in zip(members, index.reshape(len(members), -1)):
             fields[j] = texts[idx].tolist()
     return fields

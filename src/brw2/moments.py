@@ -94,7 +94,7 @@ ODE_RTOL = 1e-7
 ODE_ATOL = 1e-9
 BOUNDARY_TOL = 1e-6
 QUAD_TOL = 1e-8
-QUAD_START_NODES = 32
+QUAD_START_NODES = 16
 QUAD_MAX_NODES = 512
 QUAD_BLOCK = 48          # time nodes evaluated at once, bounding memory
 
@@ -269,18 +269,19 @@ def _origin_coefficients(model: TwoTypeModel) -> ThetaCoefficients:
 # fundamental solution of the 2x2 Fourier-space system
 # ---------------------------------------------------------------------------
 
-def _exp_diff_quotient(p, q, t) -> np.ndarray:
+def _exp_diff_quotient(gap, t, e_max) -> np.ndarray:
     """(e^{pt} - e^{qt}) / (p - q) for t >= 0, continuous through p = q
-    (value t e^{pt}).
+    (value t e^{pt}), from gap = |p - q| and e_max = e^{max(p, q) t}.
 
     Evaluated as t e^{max(p, q) t} (1 - e^{-z}) / z with z = |p - q| t, by
     expm1, so nothing cancels, no intermediate exceeds the larger
     exponential, and the quotient (1 - e^{-z}) / z takes its limit 1 at z = 0.
+    The gap is a theta-only term and e_max is often formed already, so both
+    come in from the caller.
     """
-    p, q, t = (np.asarray(v, dtype=np.float64) for v in (p, q, t))
-    z = np.abs(p - q) * t
+    z = gap * t
     ratio = np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0.0)
-    return t * np.exp(np.maximum(p, q) * t) * ratio
+    return t * e_max * ratio
 
 
 def fundamental_solution(a, d, b: float, c: float, t) -> np.ndarray:
@@ -288,15 +289,21 @@ def fundamental_solution(a, d, b: float, c: float, t) -> np.ndarray:
 
     Returns shape (2, 2) + broadcast(a, d, t).  Spectral form through the
     stable difference quotient, which is exact in the repeated-root limit
-    (the t e^{lambda t} branch).
+    (the t e^{lambda t} branch).  The theta-only terms (the square root,
+    the roots, a - lambda_-, d - lambda_-, |lambda_+ - lambda_-| and the
+    larger root) are formed once on broadcast(a, d), before the time axis
+    broadcasts in, so an (N,) grid against (B, 1) times costs them once,
+    not once per time.
     """
-    a, d, t = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (a, d, t)))
+    a, d = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(d, dtype=np.float64))
+    t = np.asarray(t, dtype=np.float64)
     sq = np.sqrt((a - d) ** 2 + 4.0 * b * c)
     root_lo = 0.5 * (a + d - sq)
     root_hi = root_lo + sq
-    quot = _exp_diff_quotient(root_hi, root_lo, t)
+    quot = _exp_diff_quotient(np.abs(root_hi - root_lo), t,
+                              np.exp(np.maximum(root_hi, root_lo) * t))
     e2 = np.exp(root_lo * t)
-    u = np.empty((2, 2) + a.shape)
+    u = np.empty((2, 2) + e2.shape)
     u[0, 0] = e2 + (a - root_lo) * quot
     u[0, 1] = b * quot
     u[1, 0] = c * quot
@@ -322,19 +329,26 @@ def _moment_symbols(coef: ThetaCoefficients, dc: DerivedConstants, t) -> np.ndar
 
     Selects the closed-form case by the sign pattern of (b, c); the
     degenerate a(theta) = d(theta) split is realized inside the stable
-    difference quotient, which converges to the t e^{at} limit form.
+    difference quotient, which converges to the t e^{at} limit form.  As
+    in ``fundamental_solution``, the theta-only terms are formed once on
+    the coefficients; with b c = 0 the quotient's e^{max(a, d) t} is
+    e^{at} or e^{dt}, already formed for the diagonal.
     """
-    a, d, tt = np.broadcast_arrays(coef.a, coef.d, np.asarray(t, dtype=np.float64))
+    a, d = np.broadcast_arrays(coef.a, coef.d)
+    t = np.asarray(t, dtype=np.float64)
     b, c = dc.b, dc.c
     if b > 0.0 and c > 0.0:
-        return fundamental_solution(a, d, b, c, tt)
-    out = np.zeros((2, 2) + a.shape)
-    out[0, 0] = np.exp(a * tt)
-    out[1, 1] = np.exp(d * tt)
-    if c > 0.0:        # b = 0: type 2 feeds type 1 counts only
-        out[1, 0] = c * _exp_diff_quotient(a, d, tt)
-    elif b > 0.0:      # c = 0
-        out[0, 1] = b * _exp_diff_quotient(a, d, tt)
+        return fundamental_solution(a, d, b, c, t)
+    e_a, e_d = np.exp(a * t), np.exp(d * t)
+    out = np.zeros((2, 2) + e_a.shape)
+    out[0, 0] = e_a
+    out[1, 1] = e_d
+    if b > 0.0 or c > 0.0:
+        quot = _exp_diff_quotient(np.abs(a - d), t, np.where(a >= d, e_a, e_d))
+        if c > 0.0:    # b = 0: type 2 feeds type 1 counts only
+            out[1, 0] = c * quot
+        else:          # c = 0
+            out[0, 1] = b * quot
     return out
 
 
@@ -681,6 +695,16 @@ def _doubling_quadrature(t: float, init: np.ndarray, node_sum, view
     passes; if none has by QUAD_MAX_NODES, the last result is returned
     with converged False.
 
+    The start is 16 nodes.  Each moment integrand is a sum of real
+    exponentials in s (see below), which is entire, so the Legendre
+    coefficients and the Gauss error fall geometrically with the node
+    count (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+    SIAM Rev. 50, 2008): where 16 nodes pass their own tail test they
+    agree with a 64-node rule to round-off, and a fast rate times a long
+    t, such as e^{-6s} on [0, 20], fails the tail test and doubles.  At 8
+    nodes every integral of the ``fields`` benchmark fails and builds 16
+    as well.
+
     Blind spots: an integrand that oscillates at about the node spacing,
     such as cos 20(s - t/2) e^{-(s - t/2)^2 / 2} at t = 20 or 50, can alias
     into a small tail and pass (128 and 256 nodes, errors 8.9e-6 and 2.2),
@@ -751,11 +775,13 @@ def _many_to_two_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoeffici
     start types that some branching event produces (dens[k, a, b] > 0) and
     the ``starts``, whose fields m_ik(t - s) are U_ik(t - s), are
     transformed, so the defect covers just the fields that enter the
-    integrand.
+    integrand.  Each product is contracted with the weights as soon as it
+    is formed, w^T @ prod on its float view (B, 2N), into the (3, R, [2,]
+    2N) sums, so no per-node sum of the products is stored.
     """
     dc = model.derived
     dens = dc.factorial_density
-    n_blk, n_pts = len(s_blk), grid.n_points
+    n_pts = grid.n_points
     types = np.union1d(np.flatnonzero(dens.any(axis=(0, 2))), starts)
     sym1 = _moment_symbols(coef, dc, s_blk[:, None])               # (2, 2, B, N)
     m1 = torus_field(_pack(sym1[types, 0], sym1[types, 1]), grid)  # (F, B) + (M,)*d
@@ -769,7 +795,8 @@ def _many_to_two_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoeffici
                  if dens[:, a, b].any()}
         del m1, m                    # the block's fields, freed before U f is formed
     u = _mirror_nodes(sym1, axis=2)                                # U(t - s)
-    acc = np.zeros((n_blk, len(starts)) + ((2,) if origin else ()) + (n_pts,), dtype=complex)
+    wt = w_blk.T
+    part = np.zeros((3, len(starts)) + ((2,) if origin else ()) + (2 * n_pts,))
     for k in np.flatnonzero(dens.any(axis=(1, 2))):                # branching types
         if origin:
             for r, i in enumerate(starts):
@@ -778,13 +805,12 @@ def _many_to_two_nodes(model: TwoTypeModel, grid: ThetaGrid, coef: ThetaCoeffici
                     ghat = torus_symbols((back.real, back.imag)[k] * m[a], grid)
                     mb = np.tensordot(dens[k, a], sym1, 1)         # sum_b dens m^_bl(s)
                     for l in range(2):
-                        acc[:, r, l] += ghat * mb[l]
+                        part[:, r, l] += wt @ (ghat * mb[l]).view(np.float64)
         else:
             fhat = torus_symbols(sum((1.0 if a == b else 2.0) * dens[k, a, b] * p
                                      for (a, b), p in prods.items()).view(complex), grid)
             for r, i in enumerate(starts):
-                acc[:, r] += u[i, k] * fhat
-    part = np.tensordot(w_blk, acc.view(np.float64), axes=([0], [0]))
+                part[:, r] += wt @ (u[i, k] * fhat).view(np.float64)
     return np.moveaxis(part.reshape(part.shape[:-1] + (n_pts, 2)), -1, 2), mass
 
 

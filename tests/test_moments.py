@@ -87,6 +87,39 @@ class TestFundamentalSolution:
                                      model.derived.c, 1.7)
             npt.assert_allclose(sym, u, rtol=1e-11, atol=1e-13)
 
+    @pytest.mark.parametrize("name", (*CASES, "near-degenerate"))
+    def test_theta_terms_formed_once_are_bit_exact(self, name):
+        # the theta-only terms are formed on the (N,) coefficients and the
+        # times broadcast in after; evaluated on pre-broadcast (B, N) arrays,
+        # and by the spectral formulas with every term formed per time, the
+        # values are the same to the bit
+        from brw2.branching import ThetaCoefficients, theta_coefficients
+
+        def quotient(p, q, t):
+            z = np.abs(p - q) * t
+            ratio = np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0.0)
+            return t * np.exp(np.maximum(p, q) * t) * ratio
+
+        model = model_case(name)
+        dc, coef = model.derived, theta_coefficients(model, ThetaGrid.for_dim(1, 64))
+        t = np.linspace(0.0, 5.0, 7)[:, None]
+        a, d, tt = np.broadcast_arrays(coef.a, coef.d, t)
+        u = fundamental_solution(coef.a, coef.d, dc.b, dc.c, t)
+        npt.assert_array_equal(u, fundamental_solution(a, d, dc.b, dc.c, tt))
+        sym = moments._moment_symbols(coef, dc, t)
+        npt.assert_array_equal(sym, moments._moment_symbols(ThetaCoefficients(a, d), dc, tt))
+        if dc.b * dc.c > 0.0:
+            sq = np.sqrt((a - d) ** 2 + 4.0 * dc.b * dc.c)
+            lo = 0.5 * (a + d - sq)
+            quot, e2 = quotient(lo + sq, lo, tt), np.exp(lo * tt)
+            ref = [[e2 + (a - lo) * quot, dc.b * quot], [dc.c * quot, e2 + (d - lo) * quot]]
+            npt.assert_array_equal(u, ref)
+        else:
+            # the quotient's e^{max(a, d) t} is the diagonal's e^{at} or e^{dt}
+            quot = quotient(a, d, tt)
+            ref = [[np.exp(a * tt), dc.b * quot], [dc.c * quot, np.exp(d * tt)]]
+        npt.assert_array_equal(sym, ref)
+
 
 class TestFirstMoments:
     def test_identity_at_t0(self):
@@ -683,7 +716,7 @@ def _runge(t):
 
 def _bumps(t):
     # off-centre Gaussians of width sigma = rel * t; a bump much narrower than
-    # the 32-node spacing can fall between the nodes (see
+    # the 16-node spacing can fall between the nodes (see
     # ``_doubling_quadrature``), so the narrowest here is t / 100
     for mu, rel in ((0.3, 0.15), (0.8, 0.05), (0.1, 0.03), (0.6, 0.02), (0.45, 0.01)):
         m, sig = mu * t, rel * t
@@ -717,28 +750,71 @@ class TestQuadratureEstimate:
         assert accepted
 
     def test_unresolved_integrand_doubles_to_64_nodes(self, monkeypatch):
-        # e^{-6s} on [0, 20]: the 32-node tail is 4.2e-3 against a tolerance
-        # of 1.2e-8, the 64-node tail 1.1e-12
+        # e^{-6s} on [0, 20]: the 16- and 32-node tails are 0.52 and 4.2e-3
+        # against a tolerance of 1.2e-8, the 64-node tail 1.1e-12
         value, converged, calls = self._integrate(20.0, lambda s: np.exp(-6.0 * s),
                                                   monkeypatch)
-        assert calls == [32, 64] and converged
+        assert calls == [16, 32, 64] and converged
         assert abs(value - math.expm1(-120.0) / -6.0) <= moments.QUAD_TOL
 
     def test_field_routes_build_one_rule(self, monkeypatch):
-        # each integral stops at its first rule: leggauss is called once
+        # the fig-z2 integrals stop at their first rule, so leggauss is
+        # called once; the d = 1 field at t = 5 fails at 16 nodes and
+        # passes at 32
         calls = []
         monkeypatch.setattr(moments, "leggauss", lambda n: calls.append(n) or leggauss(n))
         (d1, t_max, radius), _, z2_fit = fields_inputs()
         fld = second_moment_field(d1, t_max, radius, fit_grid(d1, t_max, radius))
-        assert calls == [32] and fld.converged
+        assert calls == [16, 32] and fld.converged
         z2 = preset("fig-z2")
         model, grid = z2.build_model(), fit_grid(*z2_fit)
         calls.clear()
         m2 = epidemic_m2(model, 4.0, (0, 0), (0, 0), grid)
-        assert calls == [32] and np.isfinite(m2.value)
+        assert calls == [16] and np.isfinite(m2.value)
         calls.clear()
         pair = correlation_ode(model, 4.0, z2.experiment.corr_box_radius, grid=grid)
-        assert calls == [32] and pair.converged
+        assert calls == [16] and pair.converged
+
+
+def _quadrature_routes(case: str) -> list[tuple[np.ndarray, bool]]:
+    """Every quadrature route's values on one case, each with its
+    ``degraded`` flag: the A2 laws at the A2 times, a ``fields`` moment
+    config at each of its times, or fig-z2 at its six times on both
+    slices; the last three on the grids their commands fit."""
+    if case == "a2":
+        from test_acceptance import BOX, SWEEP_TIMES, sweep_models
+        fields = [second_moment_field(model, t, BOX)
+                  for model in sweep_models().values() for t in SWEEP_TIMES]
+        return [(f.values, f.degraded) for f in fields]
+    if case.startswith("moments"):
+        cfg = parse_config(
+            (Path(__file__).parents[1] / f"perfbench/configs/{case}.yaml").read_text())
+        model, exp = cfg.build_model(), cfg.experiment
+        grid, _ = _command_grid(cfg, model, ("box_radius",))
+        fields = [second_moment_field(model, t, exp.box_radius, grid) for t in exp.t_list]
+        return [(f.values, f.degraded) for f in fields]
+    cfg = preset(case)
+    model, exp = cfg.build_model(), cfg.experiment
+    grid, _ = _command_grid(cfg, model, ("corr_box_radius", "box_radius"))
+    origin = (0,) * model.dim
+    m2 = [epidemic_m2(model, t, origin, origin, grid) for t in exp.t_list]
+    pairs = correlation_ode(model, exp.t_list, exp.corr_box_radius, grid=grid)
+    return ([(np.array(v.value), v.degraded) for v in m2]
+            + [(_pair_values(p, exp.corr_box_radius), p.degraded) for p in pairs])
+
+
+@pytest.mark.parametrize("case", ["a2", "moments-d1", "moments-d2", "fig-z2"])
+def test_start_rule_agrees_with_a_64_node_rule(case, monkeypatch):
+    # each route at the default start rule against the same route on one
+    # 64-node rule, which must pass its own tail test: the start rule is
+    # accepted only where it is within the tail test's tolerance
+    got = _quadrature_routes(case)
+    monkeypatch.setattr(moments, "QUAD_START_NODES", 64)
+    monkeypatch.setattr(moments, "QUAD_MAX_NODES", 64)
+    for (value, degraded), (ref, ref_degraded) in zip(got, _quadrature_routes(case),
+                                                      strict=True):
+        assert not degraded and not ref_degraded
+        assert np.abs(value - ref).max() <= moments.QUAD_TOL * (1.0 + np.abs(ref).max())
 
 
 COARSE_GRIDS = (40, 48, 54, 60, 64)

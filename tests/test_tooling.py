@@ -7,8 +7,10 @@ import json
 from pathlib import Path
 
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import brw2.cli  # noqa: F401  (the benchmark wraps names after this import)
+import brw2.moments
 import brw2.simulate
 from brw2.config import preset
 from brw2.epidemic import correlation_ode, epidemic_m2
@@ -70,14 +72,20 @@ def test_benchmark_hooks_read_the_epidemic_results(workloads):
     assert 0.0 < hooks.corr_boundary_mass < 1e-6
 
 
-def test_fields_round_passes_its_gates_on_the_fitted_grids(workloads, tmp_path):
+def test_fields_round_passes_its_gates_on_the_fitted_grids(workloads, tmp_path,
+                                                            monkeypatch):
     # the benchmark's fields round in-process, with its argv and its gates:
     # a degraded field fails its operation, so no CSV row may be degraded,
-    # and the grids the three commands fit are pinned
+    # and the grids the three commands fit and the round's quadrature node
+    # count (19 integrals at 16 nodes, one more rule of 32) are pinned
+    nodes = []
+    monkeypatch.setattr(brw2.moments, "leggauss",
+                        lambda n: nodes.append(n) or leggauss(n))
     fields, tracer = workloads.Fields(), RecordingTracer()
     ctx = workloads.Context(0, tmp_path, tracer, workloads.Hooks(tracer))
     fields.check(None, fields.run(fields.setup(), ctx), ctx)
     assert ctx.failures == []
+    assert sum(nodes) == 336
     grids = []
     for run in ("d1", "d2", "fz2"):
         manifest = json.loads((tmp_path / run / "manifest.json").read_text())
