@@ -237,10 +237,14 @@ _EXP_KEYS = ("horizon", "t_list", "replicas", "seed", "box_radius",
              "corr_box_radius", "grid_nodes", "out_dir", "initial", "event_cap")
 
 
+# libyaml's safe loader where PyYAML is built with it, else the pure-Python one
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a YAML config; see module docstring."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown"

@@ -47,12 +47,21 @@ law's derived constants, so the epidemic module reads its first moments,
 its M2 (the diagonal) and its pair correlations (the origin slice) off
 this engine rather than carrying its own.
 
-Route two (oracle path) integrates the same equations on a truncated box of
+Route two (oracle path) integrates moment equations on a truncated box of
 the lattice with absorbing boundary, by an explicit adaptive Runge-Kutta
-scheme.  The two routes share nothing but the model parameters, which makes
-their agreement a meaningful cross-check; the rate-weighted probability
-flux killed at the boundary is reported so callers can assert the
-truncation is negligible instead of guessing a box radius.
+scheme (DOP853), in two systems that share the box walk generators, the
+mean matrix [[r1, b], [c, r2]] and the time stepper.  The backward moment
+system (``first_moment_ode_oracle``, ``second_moment_ode_oracle``) carries
+m_ij(t, x, 0) over the start site x, and at order 2 the pointwise source
+sum_ab dens[i, a, b] m_aj m_bj, co-integrating order 1.  The forward pair
+system (``pair_moment_ode_oracle``) carries, from one type-1 ancestor, the
+first moments and the factorial pair densities F_jl(t, x, y) over box x
+box for any law: each member of a pair walks and branches on its own, and
+a type-k branching event adds dens[k, j, l] f_k on x = y.  The routes
+share nothing but the model parameters, which makes their agreement a
+meaningful cross-check; the flux killed at the boundary, of every field
+the system carries, is reported so callers can assert the truncation is
+negligible instead of guessing a box radius.
 
 All evaluations are pure functions of immutable inputs; concurrent calls at
 distinct (t, x) are safe, and each oracle integration owns its state.
@@ -87,6 +96,8 @@ __all__ = [
     "first_moment_ode_oracle",
     "second_moment_field",
     "second_moment_ode_oracle",
+    "CorrelationField",
+    "pair_moment_ode_oracle",
     "first_moment_asymptote",
 ]
 
@@ -107,6 +118,22 @@ def box_sites(box_radius: int, dim: int) -> np.ndarray:
     """All lattice sites with sup-norm <= box_radius, shape (S, d), row-major."""
     rng = range(-box_radius, box_radius + 1)
     return np.array(list(itertools.product(rng, repeat=dim)), dtype=np.int64)
+
+
+def _site_index(x, box_radius: int, dim: int) -> tuple[int, ...]:
+    """Per-axis index x + box_radius of the d-dimensional site x in a box."""
+    xv = (x,) if isinstance(x, (int, np.integer)) else tuple(x)
+    if len(xv) != dim:
+        raise ValueError(f"site {x} does not have dimension {dim}")
+    if any(abs(int(c)) > box_radius for c in xv):
+        raise ValueError(f"site {x} lies outside the box of radius {box_radius}")
+    return tuple(int(c) + box_radius for c in xv)
+
+
+def _flat_index(x, box_radius: int, dim: int) -> int:
+    """Row-major index of site x among ``box_sites(box_radius, dim)``."""
+    return int(np.ravel_multi_index(_site_index(x, box_radius, dim),
+                                    (2 * box_radius + 1,) * dim))
 
 
 def _clip_roundoff(values: np.ndarray, band: float = 1e-8) -> np.ndarray:
@@ -387,19 +414,12 @@ class MomentField:
     degraded: bool = False
     converged: bool = True
 
-    def _site_index(self, x) -> tuple[int, ...]:
-        xv = (x,) if isinstance(x, (int, np.integer)) else tuple(x)
-        if len(xv) != self.dim:
-            raise ValueError(f"site {x} does not have dimension {self.dim}")
-        if any(abs(int(c)) > self.box_radius for c in xv):
-            raise ValueError(f"site {x} lies outside the box of radius {self.box_radius}")
-        return tuple(int(c) + self.box_radius for c in xv)
-
     def value(self, i: int, j: int, x) -> float:
-        return float(self.values[(i - 1, j - 1) + self._site_index(x)])
+        return float(self.values[(i - 1, j - 1) + _site_index(x, self.box_radius, self.dim)])
 
     def matrix_at(self, x) -> np.ndarray:
-        return self.values[(slice(None), slice(None)) + self._site_index(x)].copy()
+        return self.values[(slice(None), slice(None))
+                           + _site_index(x, self.box_radius, self.dim)].copy()
 
     def total(self, i: int, j: int) -> float:
         """Box sum over x, the truncated partner of the theta = 0 symbol."""
@@ -494,7 +514,7 @@ def fit_grid(model: TwoTypeModel, t_max: float, window: int) -> ThetaGrid:
 
 
 # ---------------------------------------------------------------------------
-# truncated-lattice generators (shared with the epidemic module)
+# box-ODE oracles: the moment and pair systems on a truncated box
 # ---------------------------------------------------------------------------
 
 def build_box_generator(kernel: JumpKernel, kappa: float, box_radius: int
@@ -503,7 +523,9 @@ def build_box_generator(kernel: JumpKernel, kappa: float, box_radius: int
 
     Returns (op, outflow): op = kappa * (W - I) with W[x, y] = a(y - x) for
     destinations inside the box, and outflow[x] = kappa * (jump mass leaving
-    the box from x), so the killed flux of a field m is outflow . m.
+    the box from x), so the killed flux of a field m is outflow . m.  The
+    kernel is symmetric, so op is too: it is the box generator of the
+    backward and of the forward equations alike.
     """
     d = kernel.dim
     side = 2 * box_radius + 1
@@ -526,6 +548,12 @@ def build_box_generator(kernel: JumpKernel, kappa: float, box_radius: int
         shape=(n, n))
     op = (kappa * (w_mat - scipy.sparse.identity(n, format="csr"))).tocsr()
     return op, kappa * (1.0 - kept_weight)
+
+
+def _box_generators(model: TwoTypeModel, box_radius: int):
+    """The ``build_box_generator`` pairs (op, outflow) of both types."""
+    return (build_box_generator(model.kernel1, model.kappa1, box_radius),
+            build_box_generator(model.kernel2, model.kappa2, box_radius))
 
 
 def _rate_bound(model: TwoTypeModel) -> float:
@@ -572,18 +600,61 @@ def _solve_chained(rhs, y0: np.ndarray, times: list[float],
     return states
 
 
-def _integrate_fields(model, rhs, y0, times, n, box_radius, n_fields, order,
-                      value_offset=0):
-    dim = model.dim
-    shape = (2, 2) + (2 * box_radius + 1,) * dim
-    out = []
-    for tv, col in zip(times, _solve_chained(rhs, y0, times, 4.0 / _rate_bound(model))):
-        vals = _clip_roundoff(col[value_offset:value_offset + 4 * n].reshape(shape).copy())
-        flux = float(np.abs(col[n_fields * n:]).max())
-        out.append(MomentField(t=tv, box_radius=box_radius, order=order, dim=dim,
-                               values=vals, boundary_mass=flux,
-                               degraded=flux > BOUNDARY_TOL))
-    return out
+def _box_oracle(model: TwoTypeModel, t, rhs, y0: np.ndarray, result):
+    """``result(t, state)`` at each of the time(s) ``t`` of ``rhs``
+    integrated from y0; a single result for a scalar ``t``."""
+    times, scalar = _as_times(t)
+    out = [result(tv, col) for tv, col in
+           zip(times, _solve_chained(rhs, y0, times, 4.0 / _rate_bound(model)))]
+    return out[0] if scalar else out
+
+
+def _moment_oracle(model: TwoTypeModel, t, box_radius: int, order: int):
+    """``MomentField``s of m^(order)_ij(t, x, 0), order 1 or 2, by the
+    backward equations in the start site x, orders 1 .. ``order`` stacked:
+
+        d m^(p)_ij = L_i m^(p)_ij + sum_k M_ik m^(p)_kj + S^(p)_ij,
+
+    with M = [[r1, b], [c, r2]] (``matrix_d``), S^(1) = 0, the order-2
+    source S^(2)_ij = sum_ab dens[i, a, b] m^(1)_aj m^(1)_bj and
+    m^(p)_ij(0) = delta_ij delta_0.  The state ends in the top order's
+    killed flux per (i, j).  The mean-matrix terms are summed in column
+    order at order 1 and diagonal first at order 2; another order moves
+    the fields by round-off.
+    """
+    (op1, out1), (op2, out2) = _box_generators(model, box_radius)
+    ops = (op1, op2)
+    n = op1.shape[0]
+    dc = model.derived
+    dens = dc.factorial_density
+    mean = dc.matrix_d
+
+    def rhs(_s, y):
+        m = y[:order * 4 * n].reshape(order, 2, 2, n)
+        dm = np.empty_like(m)
+        for i, op in enumerate(ops):
+            walk = (op @ m[:, i].reshape(-1, n).T).T.reshape(order, 2, n)
+            dm[0, i] = walk[0] + mean[i, 0] * m[0, 0] + mean[i, 1] * m[0, 1]
+            if order == 2:
+                m1 = m[0]
+                src = (dens[i, 0, 0] * m1[0] ** 2 + dens[i, 1, 1] * m1[1] ** 2
+                       + 2.0 * dens[i, 0, 1] * m1[0] * m1[1])
+                dm[1, i] = walk[1] + mean[i, i] * m[1, i] + mean[i, 1 - i] * m[1, 1 - i] + src
+        dflux = np.concatenate([m[-1, 0] @ out1, m[-1, 1] @ out2])
+        return np.concatenate([dm.ravel(), dflux])
+
+    y0 = np.zeros(order * 4 * n + 4)
+    y0[:order * 4 * n].reshape(order, 4, n)[:, [0, 3], (n - 1) // 2] = 1.0   # m_11, m_22
+    shape = (2, 2) + (2 * box_radius + 1,) * model.dim
+
+    def result(tv, col):
+        top = col[(order - 1) * 4 * n:order * 4 * n]
+        flux = float(np.abs(col[order * 4 * n:]).max())
+        return MomentField(t=tv, box_radius=box_radius, order=order, dim=model.dim,
+                           values=_clip_roundoff(top.reshape(shape).copy()),
+                           boundary_mass=flux, degraded=flux > BOUNDARY_TOL)
+
+    return _box_oracle(model, t, rhs, y0, result)
 
 
 def first_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int):
@@ -594,27 +665,7 @@ def first_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int):
     box are killed; their accumulated rate-weighted flux is the field's
     ``boundary_mass`` and trips ``degraded`` above BOUNDARY_TOL.
     """
-    times, scalar = _as_times(t)
-    dc = model.derived
-    op1, out1 = build_box_generator(model.kernel1, model.kappa1, box_radius)
-    op2, out2 = build_box_generator(model.kernel2, model.kappa2, box_radius)
-    n = op1.shape[0]
-    center = (n - 1) // 2
-
-    def rhs(_s, y):
-        m = y[:4 * n].reshape(2, 2, n)
-        dm = np.empty_like(m)
-        dm[0] = (op1 @ m[0].T).T + dc.r1 * m[0] + dc.b * m[1]
-        dm[1] = (op2 @ m[1].T).T + dc.c * m[0] + dc.r2 * m[1]
-        dflux = np.concatenate([m[0] @ out1, m[1] @ out2])
-        return np.concatenate([dm.ravel(), dflux])
-
-    y0 = np.zeros(4 * n + 4)
-    y0[0 * n + center] = 1.0          # m_11(0, x, 0) = delta_0(x)
-    y0[3 * n + center] = 1.0          # m_22
-    fields = _integrate_fields(model, rhs, y0, times, n, box_radius,
-                               n_fields=4, order=1)
-    return fields[0] if scalar else fields
+    return _moment_oracle(model, t, box_radius, 1)
 
 
 def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int):
@@ -623,36 +674,113 @@ def second_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int):
     The quadratic sources consume the co-integrated order-1 field at every
     internal step, so this route never touches the Fourier machinery.
     """
-    times, scalar = _as_times(t)
+    return _moment_oracle(model, t, box_radius, 2)
+
+
+@dataclass(frozen=True)
+class CorrelationField:
+    """Pair moments over box x box, started from one type-1 particle at 0.
+
+    ``r11``, ``r12`` and ``r22`` hold R_jl(t, x, y) = E[N_j(x) N_l(y)] over
+    the flattened ``box_sites`` of x and y (``r11``, ``r22`` symmetric),
+    ``r1`` and ``r2`` the first moments R_j(t, x).  The localized start
+    breaks translation invariance, so u = y - x is exposed only as
+    origin-anchored slices (``u_slice``).
+    """
+
+    t: float
+    box_radius: int
+    dim: int
+    r1: np.ndarray = field(repr=False)
+    r2: np.ndarray = field(repr=False)
+    r11: np.ndarray = field(repr=False)
+    r12: np.ndarray = field(repr=False)
+    r22: np.ndarray = field(repr=False)
+    boundary_mass: float = 0.0
+    degraded: bool = False
+
+    def _idx(self, x) -> int:
+        return _flat_index(x, self.box_radius, self.dim)
+
+    def pair(self, name: str, x, y) -> float:
+        return float(getattr(self, name)[self._idx(x), self._idx(y)])
+
+    def first(self, name: str, x) -> float:
+        return float(getattr(self, name)[self._idx(x)])
+
+    def u_slice(self, name: str) -> np.ndarray:
+        """Origin-anchored slice R(t, 0, u) over the box (not homogeneous)."""
+        return getattr(self, name)[self._idx((0,) * self.dim)].copy()
+
+
+_PAIRS = ((0, 0), (0, 1), (1, 1))     # the stored factorial densities F_jl, j <= l
+
+
+def pair_moment_ode_oracle(model: TwoTypeModel, t, box_radius: int):
+    """Oracle pair moments from one type-1 particle at the origin, by the
+    forward equations on the truncated box, for any law.
+
+    The state holds the first moments f_j(x) and, for j <= l, the
+    factorial pair densities F_jl(x, y), the mean number of ordered pairs
+    of distinct particles of types j, l at x, y (F_lj(x, y) = F_jl(y, x)):
+
+        d f_j  = L_j f_j + sum_k M_kj f_k,
+        d F_jl = (L_j^x + L_l^y) F_jl + sum_k M_kj F_kl + sum_k M_kl F_jk
+                 + delta_xy sum_k dens[k, j, l] f_k(x),
+
+    with M = [[r1, b], [c, r2]] (``matrix_d``), f_j(0) = delta_j1 delta_0
+    and F(0) = 0: a type-k branching event bears a pair at one site, whose
+    members then walk and branch on their own (Harris & Roberts, Ann. IHP
+    2017).  Kernels are symmetric, so L_l^y is F_jl L_l.  The correlations
+    R_jl = F_jl + delta_jl delta_xy f_j are formed on output.  This is the
+    box check of ``epidemic.correlation_ode``'s origin slice.
+
+    Jumps leaving the box are killed.  ``boundary_mass`` is the largest
+    killed flux over time, of the first moments, sum_j out_j . f_j, or of
+    a pair density, sum_x out_j(x) sum_y F_jl + sum_y out_l(y) sum_x F_jl;
+    ``degraded`` is set above BOUNDARY_TOL.
+    """
+    (op1, out1), (op2, out2) = _box_generators(model, box_radius)
+    ops, outs = (op1, op2), (out1, out2)
+    n = op1.shape[0]
     dc = model.derived
     dens = dc.factorial_density
-    op1, out1 = build_box_generator(model.kernel1, model.kappa1, box_radius)
-    op2, out2 = build_box_generator(model.kernel2, model.kappa2, box_radius)
-    n = op1.shape[0]
-    center = (n - 1) // 2
+    mean = dc.matrix_d
+    diag = np.diag_indices(n)
 
     def rhs(_s, y):
-        m1 = y[:4 * n].reshape(2, 2, n)
-        m2 = y[4 * n:8 * n].reshape(2, 2, n)
-        dm1 = np.empty_like(m1)
-        dm1[0] = (op1 @ m1[0].T).T + dc.r1 * m1[0] + dc.b * m1[1]
-        dm1[1] = (op2 @ m1[1].T).T + dc.c * m1[0] + dc.r2 * m1[1]
-        dm2 = np.empty_like(m2)
-        for i, (op, ra, rb, other) in enumerate(
-                ((op1, dc.r1, dc.b, 1), (op2, dc.r2, dc.c, 0))):
-            src = (dens[i, 0, 0] * m1[0] ** 2 + dens[i, 1, 1] * m1[1] ** 2
-                   + 2.0 * dens[i, 0, 1] * m1[0] * m1[1])
-            coupled = m2[other]
-            dm2[i] = (op @ m2[i].T).T + ra * m2[i] + rb * coupled + src
-        dflux = np.concatenate([m2[0] @ out1, m2[1] @ out2])
-        return np.concatenate([dm1.ravel(), dm2.ravel(), dflux])
+        f = y[:2 * n].reshape(2, n)
+        pairs = y[2 * n:2 * n + 3 * n * n].reshape(3, n, n)
+        full = {(0, 0): pairs[0], (0, 1): pairs[1], (1, 0): pairs[1].T, (1, 1): pairs[2]}
+        df = np.stack([ops[j] @ f[j] + mean[:, j] @ f for j in range(2)])
+        dpairs = np.empty_like(pairs)
+        flux = [out1 @ f[0] + out2 @ f[1]]
+        for p, (j, l) in enumerate(_PAIRS):
+            walk = ops[j] @ pairs[p]
+            d = dpairs[p]
+            np.add(walk, walk.T if j == l else (ops[l] @ pairs[p].T).T, out=d)
+            for k in range(2):
+                # both terms at once, so d stays exactly symmetric for j = l
+                if mean[k, j] or mean[k, l]:
+                    d += mean[k, j] * full[k, l] + mean[k, l] * full[j, k]
+            d[diag] += dens[:, j, l] @ f
+            flux.append(outs[j] @ pairs[p].sum(axis=1) + pairs[p].sum(axis=0) @ outs[l])
+        return np.concatenate([df.ravel(), dpairs.ravel(), flux])
 
-    y0 = np.zeros(8 * n + 4)
-    for base in (0, 3, 4, 7):         # deltas for m1_11, m1_22, m2_11, m2_22
-        y0[base * n + center] = 1.0
-    fields = _integrate_fields(model, rhs, y0, times, n, box_radius,
-                               n_fields=8, order=2, value_offset=4 * n)
-    return fields[0] if scalar else fields
+    y0 = np.zeros(2 * n + 3 * n * n + 1 + len(_PAIRS))
+    y0[(n - 1) // 2] = 1.0                     # f_1(0) = delta_0(x)
+
+    def result(tv, col):
+        f1, f2 = col[:2 * n].reshape(2, n)
+        f11, f12, f22 = col[2 * n:2 * n + 3 * n * n].reshape(3, n, n).copy()
+        f11[diag] += f1
+        f22[diag] += f2
+        flux = float(np.abs(col[2 * n + 3 * n * n:]).max())
+        return CorrelationField(t=tv, box_radius=box_radius, dim=model.dim,
+                                r1=f1.copy(), r2=f2.copy(), r11=f11, r12=f12, r22=f22,
+                                boundary_mass=flux, degraded=flux > BOUNDARY_TOL)
+
+    return _box_oracle(model, t, rhs, y0, result)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.cli import main as cli_main
@@ -20,7 +23,8 @@ from brw2.config import preset
 from brw2.epidemic import correlation_ode
 from brw2.lattice import ThetaGrid, gamma_constant, simple_kernel, \
     transition_probability, uniform_range_kernel
-from brw2.moments import (first_moment_field, first_moment_ode_oracle,
+from brw2.moments import (BOUNDARY_TOL, ODE_ATOL, first_moment_field,
+                          first_moment_ode_oracle, pair_moment_ode_oracle,
                           second_moment_field, second_moment_ode_oracle)
 from brw2.simulate import map_replicas
 
@@ -83,6 +87,56 @@ def test_a2_second_moment_route_parity():
     criterion("A2", worst <= 1e-4,
               f"second-moment Duhamel vs ODE oracle, max rel diff {worst:.2e} "
               f"<= 1e-04 under the same sweep")
+
+
+# route parity over random laws: every birth entry up to three children,
+# deaths, conversion and symmetric walks of range 1 to 3, at d = 1
+BIRTHS = [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+KERNELS = {"simple": simple_kernel(1), "range 2": uniform_range_kernel(1, 2),
+           "range 3": uniform_range_kernel(1, 3)}
+PARITY_TIMES = (0.5, 2.0)
+PARITY_RADIUS = 8       # compared window of both Fourier routes
+M2_BOX = 40             # second-moment oracle box
+PAIR_BOX = 30           # pair oracle box: range-3 walks leak 6.8e-5 at box 14 by t = 2
+PARITY_RTOL = 1e-6
+
+
+def _births():
+    return st.dictionaries(st.sampled_from(BIRTHS), st.floats(0.05, 0.25), max_size=3)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(law=st.builds(BranchingLaw, mu1=st.floats(0.0, 0.5), mu2=st.floats(0.0, 0.5),
+                     beta1=_births(), beta2=_births(),
+                     conversion_rate=st.floats(0.0, 0.5)),
+       k1=st.sampled_from(sorted(KERNELS)), k2=st.sampled_from(sorted(KERNELS)))
+# b > 0, c = 0 with r1 = r2 = -0.25 and equal walks: a defective mean matrix
+@example(law=BranchingLaw(mu1=0.25, mu2=0.375, beta1={(1, 1): 0.5}, beta2={(0, 2): 0.125}),
+         k1="simple", k2="simple")
+@example(law=BranchingLaw(mu1=0.1, mu2=0.1, conversion_rate=0.3),            # conversion only
+         k1="simple", k2="range 2")
+@example(law=BranchingLaw(mu1=0.1, mu2=0.2), k1="range 3", k2="simple")      # no branching
+@example(law=BranchingLaw(mu1=0.05, mu2=0.0, beta1={(2, 0): 0.5},            # the fig-z2 law
+                          conversion_rate=0.45), k1="simple", k2="range 2")
+def test_route_parity_over_random_laws(law, k1, k2):
+    # the Fourier diagonal against the backward box ODE, and the Fourier
+    # origin slice against the forward pair box ODE, on the window of
+    # radius PARITY_RADIUS; each oracle's edge flux must be negligible
+    model = TwoTypeModel(KERNELS[k1], KERNELS[k2], 1.0, 1.0, law)
+    inner = slice(M2_BOX - PARITY_RADIUS, M2_BOX + PARITY_RADIUS + 1)
+    for ode in second_moment_ode_oracle(model, PARITY_TIMES, M2_BOX):
+        fou = second_moment_field(model, ode.t, PARITY_RADIUS)
+        assert ode.boundary_mass < BOUNDARY_TOL and not fou.degraded
+        npt.assert_allclose(fou.values, ode.values[..., inner], rtol=PARITY_RTOL,
+                            atol=ODE_ATOL, err_msg=f"m2 at t={ode.t}")
+    inner = slice(PAIR_BOX - PARITY_RADIUS, PAIR_BOX + PARITY_RADIUS + 1)
+    oracle = pair_moment_ode_oracle(model, PARITY_TIMES, PAIR_BOX)
+    for fld, ora in zip(correlation_ode(model, PARITY_TIMES, PARITY_RADIUS), oracle):
+        assert ora.boundary_mass < BOUNDARY_TOL and not fld.degraded
+        for name in ("r11", "r12", "r22", "r1", "r2"):
+            full = ora.u_slice(name) if len(name) == 3 else getattr(ora, name)
+            npt.assert_allclose(getattr(fld, name), full[inner], rtol=PARITY_RTOL,
+                                atol=ODE_ATOL, err_msg=f"{name} at t={fld.t}")
 
 
 def test_a3_monte_carlo_matches_moment_engine(figure_g3_model):

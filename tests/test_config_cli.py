@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from brw2 import cli, simulate
+from brw2 import cli, config, simulate
 from brw2.branching import derive_constants
 from brw2.cli import main
 from brw2.config import (PRESET_NAMES, ConfigError, config_hash, parse_config, preset,
@@ -80,8 +81,15 @@ model:
             parse_config(bad)
 
     def test_syntax_error_carries_location(self):
-        with pytest.raises(ConfigError, match="YAML error"):
+        # libyaml marks the end of input (line 2, column 1), the pure-Python
+        # loader the unclosed bracket's line (line 1, column 17)
+        with pytest.raises(ConfigError, match=r"YAML error at line \d+, column \d+"):
             parse_config("model: [unclosed")
+
+    @pytest.mark.parametrize("name", ["moments-d1", "moments-d2"])
+    def test_config_loader_reads_what_the_python_loader_reads(self, name):
+        text = (Path(__file__).parents[1] / "perfbench" / "configs" / f"{name}.yaml").read_text()
+        assert yaml.load(text, Loader=config._YAML_LOADER) == yaml.safe_load(text)
 
     def test_round_trip(self):
         cfg = parse_config(CRITICAL_1D)

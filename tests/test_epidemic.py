@@ -7,13 +7,13 @@ import pytest
 
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.config import preset
-from brw2.epidemic import (correlation_box_ode, correlation_ode,
-                           epidemic_first_moment_profiles, epidemic_m2)
+from brw2.epidemic import correlation_ode, epidemic_first_moment_profiles, epidemic_m2
 from brw2.lattice import ThetaGrid, simple_kernel, transition_probability, \
     uniform_range_kernel
 from brw2.moments import (BOUNDARY_TOL, ODE_ATOL, _phase_sum, first_moment_field,
                           first_moment_ode_oracle, first_moment_symbols, max_pair_window,
-                          second_moment_field, second_moment_ode_oracle)
+                          pair_moment_ode_oracle, second_moment_field,
+                          second_moment_ode_oracle)
 from brw2.simulate import map_replicas
 
 K1 = simple_kernel(1)
@@ -120,7 +120,7 @@ class TestSecondMoment:
 class TestCorrelations:
     def test_initial_conditions_and_conversion_free_case(self):
         model = immune_model(mu1=0.2, mu2=0.1, b2=0.3, r=0.0)
-        fields = correlation_box_ode(model, [0.0, 1.5], 8)
+        fields = pair_moment_ode_oracle(model, [0.0, 1.5], 8)
         f0, f1 = fields
         assert f0.pair("r11", 0, 0) == 1.0
         assert np.abs(f0.r22).max() == 0.0
@@ -129,7 +129,7 @@ class TestCorrelations:
         assert np.abs(f1.r22).max() < 1e-12
 
     def test_pure_walk_pair_function_is_diagonal(self):
-        fld = correlation_box_ode(immune_model(mu1=0.0, b2=0.0, r=0.0), 2.0, 14)
+        fld = pair_moment_ode_oracle(immune_model(mu1=0.0, b2=0.0, r=0.0), 2.0, 14)
         grid = ThetaGrid.for_dim(1)
         for x in (-2, 0, 3):
             expect = transition_probability(K1, 1.0, 2.0, 0, x, grid)
@@ -169,7 +169,7 @@ class TestCorrelations:
             assert abs(mc - theory) < 4 * max(se, 1e-4), (col, mc, theory, se)
 
     def test_symmetry_and_variance_bounds(self):
-        fld = correlation_box_ode(supercritical_model(), 5.0, 16)
+        fld = pair_moment_ode_oracle(supercritical_model(), 5.0, 16)
         npt.assert_array_equal(fld.r11, fld.r11.T)
         npt.assert_array_equal(fld.r22, fld.r22.T)
         diag11 = np.diag(fld.r11)
@@ -179,7 +179,7 @@ class TestCorrelations:
 
     def test_first_moments_match_closed_forms(self):
         model = supercritical_model()
-        fld = correlation_box_ode(model, 2.0, 20)
+        fld = pair_moment_ode_oracle(model, 2.0, 20)
         prof1, prof2 = epidemic_first_moment_profiles(model, 2.0, 20)
         npt.assert_allclose(fld.r1, prof1, atol=1e-7)
         npt.assert_allclose(fld.r2, prof2, atol=1e-7)
@@ -190,7 +190,7 @@ class TestCorrelations:
         assert max(ratios) / min(ratios) < 2.0
 
     def test_u_slice_is_origin_anchored(self):
-        fld = correlation_box_ode(supercritical_model(), 1.0, 6)
+        fld = pair_moment_ode_oracle(supercritical_model(), 1.0, 6)
         sl = fld.u_slice("r11")
         npt.assert_allclose(sl[6 + 2], fld.pair("r11", 0, 2), rtol=0)
 
@@ -215,7 +215,7 @@ class TestCorrelations:
                            conversion_rate=0.3)
         model = TwoTypeModel(K1, uniform_range_kernel(1, 2), 1.0, 1.5, law)
         times = [0.5, 1.0, 2.0]
-        oracle = correlation_box_ode(model, times, 16)
+        oracle = pair_moment_ode_oracle(model, times, 16)
         fields = correlation_ode(model, times, 12)
         assert all(f.converged and not f.degraded for f in fields)
         self._assert_matches_oracle(fields, oracle, 1)
@@ -224,7 +224,7 @@ class TestCorrelations:
         model = immune_model(mu2=0.1, k1=simple_kernel(2), k2=uniform_range_kernel(2, 1),
                              kappa2=0.5)
         times = [0.5, 1.0]
-        oracle = correlation_box_ode(model, times, 6)
+        oracle = pair_moment_ode_oracle(model, times, 6)
         fields = correlation_ode(model, times, 4)
         self._assert_matches_oracle(fields, oracle, 2)
 
@@ -275,10 +275,26 @@ class TestCorrelations:
         BranchingLaw(mu1=0.05, mu2=0.0, beta1={(2, 0): 0.5}, beta2={(0, 2): 0.1}),
         BranchingLaw(mu1=0.05, mu2=0.0, beta1={(1, 1): 0.5}, conversion_rate=0.2),
     ], ids=["type-2 branching", "type-2 offspring of type 1"])
-    def test_box_oracle_refuses_a_non_epidemic_model(self, law):
-        # its closed system has no type-2 branching and no mixed births
-        with pytest.raises(ValueError, match="epidemic law"):
-            correlation_box_ode(TwoTypeModel(K1, K1, 1.0, 1.0, law), 1.0, 4)
+    def test_many_to_two_matches_box_oracle_on_any_law(self, law):
+        # laws that are no epidemic: both types branch, or type 1 bears a
+        # mixed pair, so every F_jl has its own diagonal source
+        model = TwoTypeModel(K1, K1, 1.0, 1.0, law)
+        times = [0.5, 1.0, 2.0]
+        oracle = pair_moment_ode_oracle(model, times, 16)
+        fields = correlation_ode(model, times, 12)
+        assert all(f.converged and not f.degraded for f in fields)
+        self._assert_matches_oracle(fields, oracle, 1)
+
+    def test_box_oracle_counts_the_pair_densities_flux(self):
+        # at box 12 the first moments lose under BOUNDARY_TOL by t = 4, but
+        # the factorial pair density F11 loses more than it; box 24 shows
+        # that the box-12 correlations really fall short by that much
+        model = supercritical_model()
+        small = pair_moment_ode_oracle(model, 4.0, 12)
+        large = pair_moment_ode_oracle(model, 4.0, 24)
+        assert small.boundary_mass > BOUNDARY_TOL and small.degraded
+        assert large.boundary_mass < BOUNDARY_TOL and not large.degraded
+        assert large.r11.sum() - small.r11.sum() > BOUNDARY_TOL
 
 
 class TestEngineConsistency:

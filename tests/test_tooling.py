@@ -1,5 +1,5 @@
 """The repository's tooling against the package: the benchmark's wrapped
-names and the route-parity script."""
+names, hooks and rounds."""
 
 import importlib
 import importlib.util
@@ -117,15 +117,3 @@ def test_fig_z1_round_passes_its_gates(workloads, tmp_path):
     # both commands simulated the replica, and the history has its records
     assert hooks.engine_records == 2 * hooks.records[(seed, 0)]
     assert res["records"] == hooks.records[(seed, 0)] > 100_000
-
-
-def test_parity_sweep_prints_a_row_per_case(capsys):
-    script = _load(ROOT / "scripts" / "moment_parity_sweep.py")
-    script.main(["--times", "0.5", "--box", "10"])
-    lines = capsys.readouterr().out.splitlines()
-    split = next(k for k, line in enumerate(lines) if "pair case" in line)
-    rows, pair_rows = lines[1:split], lines[split + 1:]
-    assert [r.split()[0] for r in rows] == list(script.CASES)
-    assert [r.split()[0] for r in pair_rows] == list(script.PAIR_CASES)
-    for row in rows + pair_rows:
-        assert float(row.split()[1]) == 0.5
