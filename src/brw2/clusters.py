@@ -66,10 +66,10 @@ def _type_totals(sim: SimulationRun, t_list) -> np.ndarray:
 
     All times in one broadcast, with the rule of ``alive_mask``: a record
     is alive on [t1, t2), and a censored one, which is exactly one with
-    t2 == horizon, on the closed [t1, horizon].
+    t2 == horizon, on the closed [t1, horizon].  A NaN time is outside.
     """
     t = np.asarray(t_list, dtype=float)
-    outside = t[(t < 0) | (t > sim.horizon)]
+    outside = t[~((t >= 0) & (t <= sim.horizon))]
     if outside.size:
         raise ValueError(f"time {outside[0]} outside [0, {sim.horizon}]")
     t = t[:, None]

@@ -25,21 +25,30 @@ the order they leave a LIFO stack, onto which a branching record pushes its
 k type-1 children and then its l type-2 children.
 
 A jumped particle is always the next record, so a jump chain runs in
-place, without a trip through the stack.  The loop keeps only what the draw
-order depends on, and does its bookkeeping per chain where it can: per
-record it appends its decode-table row (type and outcome in one index) and
-t2; per chain, that is per popped stack entry, it appends the head's index
-and parent and checks the event cap once.  Every record but a chain head
-has the record before it as parent.  The loop and decode tables are
-compiled once per model (``_tables``; the model is immutable) and shared by
-all its runs.  Everything else is decoded after the loop with numpy: the
-type, fate and aux columns from the decode table by row, and t1 as the
-parent's t2 (0.0 at a root).  Positions are decoded on first access: a
-record's position is its root's initial site plus the jump offsets of its
-ancestors, summed along runs of consecutive records and by pointer doubling
-over the run heads (``_ancestor_sums``), so the count-only sweeps never pay
-for it.  A completed ``SimulationRun`` holds its records as columns (no
-per-record objects) and is immutable.
+place, without a trip through the stack, and every record of a chain but
+its last is a jump.  The loop keeps only what the draw order depends on.
+Per record it appends t2 and nothing else.  Per chain, that is per popped
+stack entry, it appends the head's index, the head's parent and the end
+row: the decode-table row (type and outcome in one index) of the chain's
+last record, censored or a slot.  It checks the event cap once per chain.
+A fate uniform is a jump exactly when it is at least the last slot bound,
+so the common case costs one float comparison, and a jump's index uniform
+is drawn and dropped.  The loop and decode tables are compiled once per
+model (``_tables``; the model is immutable) and shared by all its runs.
+
+After the loop, numpy decodes the eager columns: parents (the record before,
+except at a chain head), t1 as the parent's t2 (0.0 at a root) and the types,
+one per chain, repeated over its length.  The fate and aux columns are
+lazy.  On their first read the replica's stream is regenerated
+(``_decode_rows``): a censored record took 1 draw, any other chain end 2 and
+a jump 3, so a jump's index uniform sits at its record's first draw + 2,
+and decodes by the same search of the kernel's cumulative weights.
+Positions are lazy too: a record's position is its root's initial site plus
+the jump offsets of its ancestors, summed along runs of consecutive records
+and by pointer doubling over the run heads (``_ancestor_sums``).  So the
+count-only sweeps, which read types, t1 and t2, never decode a row.  A
+completed ``SimulationRun`` holds its records as columns (no per-record
+objects) and is immutable.
 
 Replicas are embarrassingly parallel: ``map_replicas`` is the one loop over
 them, used by ``ensemble``, the survival and conditional sweeps and the
@@ -170,11 +179,13 @@ class SimulationRun:
     equals its parent's t2, and censored records (t2 == T) count as alive
     on the closed interval [t1, T].
 
-    The event loop keeps per record only its decode-table row and t2, and
-    per chain its head's index and parent; the other columns are decoded
-    from those.  t1 is the parent's t2 (0.0 at a root), and ``positions`` is
-    decoded from the parents and jump offsets on its first access, so a
-    reducer that only counts never pays for it.
+    The event loop keeps per record only its t2, and per chain its head's
+    index and parent and its end row (``chain_bounds``, ``ends``); every other
+    column is decoded from those.  ``types``, ``t1`` and ``parents`` are
+    decoded with the run.  ``fates``, ``aux_a`` and ``aux_b`` are decoded
+    together on the first read of any of them, from the replica's
+    regenerated stream, and ``positions`` on its first read, from the
+    parents and jump offsets; a reducer that only counts pays for neither.
     """
 
     model: TwoTypeModel
@@ -185,14 +196,35 @@ class SimulationRun:
     types: np.ndarray = field(repr=False)        # (n,) int8, values 1 | 2
     t1: np.ndarray = field(repr=False)
     t2: np.ndarray = field(repr=False)
-    fates: np.ndarray = field(repr=False)        # (n,) int8 fate codes
-    aux_a: np.ndarray = field(repr=False)        # k for branches, jump index, else -1
-    aux_b: np.ndarray = field(repr=False)        # l for branches, else -1
     parents: np.ndarray = field(repr=False)      # (n,) int64, -1 for initial records
+    chain_bounds: np.ndarray = field(repr=False)  # (chains + 1,) int32: chain c holds
+    #                                   records chain_bounds[c] to chain_bounds[c + 1] - 1
+    ends: np.ndarray = field(repr=False)         # (chains,) int32 last record's table row
 
     @property
     def n_records(self) -> int:
         return len(self.types)
+
+    @cached_property
+    def _outcomes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        tables = _tables(self.model)
+        rows = _decode_rows(self)
+        return tables.fates[rows], tables.aux_a[rows], tables.aux_b[rows]
+
+    @property
+    def fates(self) -> np.ndarray:
+        """(n,) int8 fate codes."""
+        return self._outcomes[0]
+
+    @property
+    def aux_a(self) -> np.ndarray:
+        """(n,) int32: k for a branching, the jump index for a jump, else -1."""
+        return self._outcomes[1]
+
+    @property
+    def aux_b(self) -> np.ndarray:
+        """(n,) int32: l for a branching, else -1."""
+        return self._outcomes[2]
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -207,10 +239,11 @@ class SimulationRun:
         return _ancestor_sums(parents, steps)
 
     def alive_mask(self, t: float) -> np.ndarray:
-        if t < 0 or t > self.horizon:
+        """Records alive at t: t1 <= t < t2, or t1 <= t == t2 when censored,
+        which is exactly when t2 == T."""
+        if not 0 <= t <= self.horizon:
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
-        censored = self.fates == FATE_CENSORED
-        return (self.t1 <= t) & ((t < self.t2) | (censored & (t <= self.t2)))
+        return (self.t1 <= t) & ((t < self.t2) | (self.t2 == self.horizon))
 
     def root_of(self) -> np.ndarray:
         """Initial-ancestor record index per record: only a root contributes
@@ -218,6 +251,52 @@ class SimulationRun:
         parents = self.parents
         own = np.where(parents < 0, np.arange(len(parents), dtype=np.int64), 0)
         return _ancestor_sums(parents, own)
+
+
+def _decode_rows(sim: SimulationRun) -> np.ndarray:
+    """Every record's decode-table row, from the chains and the replica's
+    regenerated stream.
+
+    A chain's last record has its end row.  Every other record is a jump,
+    and took 3 draws (sojourn, fate, jump index); a chain's last record took
+    1 if censored and 2 otherwise.  So a jump's index uniform is its
+    record's last draw, and its index is the number of the kernel's
+    cumulative weights, all but the last, at or below that uniform: the
+    search the loop would have made.
+    """
+    tables = _tables(sim.model)
+    types = sim.types
+    last = sim.chain_bounds[1:] - 1
+    draws = np.full(len(types), 3, dtype=np.int8)
+    draws[last] = tables.end_draws[sim.ends]
+    jumps = (draws == 3).nonzero()[0]
+    at = draws.cumsum(dtype=np.int64)[jumps] - 1
+    u = _stream_at(replica_rng(sim.seed, sim.replica_id), at)
+    rows = tables.jump_row[types]
+    jump_types = types[jumps]
+    for ptype in (1, 2):
+        sel = jump_types == ptype
+        rows[jumps[sel]] += tables.jump_cum[ptype].searchsorted(u[sel], "right")
+    rows[last] = sim.ends
+    return rows
+
+
+def _stream_at(rng: np.random.Generator, at: np.ndarray, block: int = 1 << 16):
+    """The generator's uniforms at the increasing stream positions ``at``.
+
+    The stream is drawn in blocks, so memory stays O(block + len(at)) however
+    long the stream is (a fig-z1 history draws about 2.8 uniforms per
+    record); block sizes never change the sequence.
+    """
+    out = np.empty(len(at))
+    size = int(at[-1]) + 1 if len(at) else 0
+    done = 0
+    for start in range(0, size, block):
+        u = rng.random(min(block, size - start))
+        stop = int(at.searchsorted(start + block))
+        out[done:stop] = u[at[done:stop] - start]
+        done = stop
+    return out
 
 
 class _CompiledType:
@@ -255,7 +334,7 @@ class _CompiledType:
         # child types per slot, in push order: k type-1 then l type-2
         self.children = ([()] + [(1,) * k + (2,) * l for k, l, _ in branches]
                          + [(2,)])
-        self.jump_cum = np.cumsum(kernel.weights).tolist()
+        self.jump_cum = np.cumsum(kernel.weights)[:-1]   # a jump index's search table
         self.decode = ([(FATE_CENSORED, -1, -1), (FATE_DIED, -1, -1)]
                        + [(FATE_BRANCHED, k, l) for k, l, _ in branches]
                        + [(FATE_CONVERTED, -1, -1)]
@@ -263,16 +342,19 @@ class _CompiledType:
 
 
 class _Tables(NamedTuple):
-    """Everything ``run`` and ``SimulationRun.positions`` read of a model."""
+    """Everything ``run`` and the lazy columns read of a model."""
 
-    loop: dict          # type -> [1/rho, bounds, children, jump_cum, last jump,
-    #                              censored row, slot-row base, jump-row base]
-    fates: np.ndarray   # decode columns by row: type-1 rows, then type-2 rows
+    loop: dict          # type -> (1/rho, bounds, last bound, children, censored row,
+    #                              slot-row base)
+    types: np.ndarray   # decode columns by row: type-1 rows, then type-2 rows
+    fates: np.ndarray
     aux_a: np.ndarray
     aux_b: np.ndarray
-    type2_row: int      # first type-2 row
-    offsets: np.ndarray  # type-1 then type-2 jump offsets, then a zero row
-    type2_offset: int   # first type-2 offset
+    end_draws: np.ndarray   # draws of a chain's last record by row: 1 if censored, else 2
+    jump_row: np.ndarray    # first jump row by type (index 0 unused)
+    jump_cum: dict          # type -> cumulative kernel weights but the last
+    offsets: np.ndarray     # type-1 then type-2 jump offsets, then a zero row
+    type2_offset: int       # first type-2 offset
 
 
 @lru_cache(maxsize=16)
@@ -280,27 +362,29 @@ def _tables(model: TwoTypeModel) -> _Tables:
     """The model's loop and decode tables, compiled once per model.
 
     The model is immutable, so the tables are shared by all its runs.  A
-    loop table carries its type's decode rows, so the loop appends each
-    record's row directly: the censored row, slot-row base + slot, or
-    jump-row base + jump index.  In a loop table the children entry past
-    the last slot is None, which marks a jump; every other entry lists the
-    children's own loop tables.
+    loop table carries its type's decode rows, so the loop appends a chain's
+    end row directly: the censored row, or slot-row base + slot.  Its
+    children entry for a slot lists the children's own loop tables.
     """
     comp = {1: _CompiledType(model, 1), 2: _CompiledType(model, 2)}
     base = {1: 0, 2: len(comp[1].decode)}
-    loop = {p: [c.inv_rho, c.bounds, None, c.jump_cum, len(c.jump_cum) - 1,
-                base[p], base[p] + 1, base[p] + 1 + len(c.bounds)]
+    loop = {p: [c.inv_rho, c.bounds, c.bounds[-1], None, base[p], base[p] + 1]
             for p, c in comp.items()}
     for p, c in comp.items():
-        loop[p][2] = [tuple(loop[q] for q in kids) for kids in c.children] + [None]
+        loop[p][3] = [tuple(loop[q] for q in kids) for kids in c.children]
     decode = np.array(comp[1].decode + comp[2].decode, dtype=np.int64)
+    fates = decode[:, 0].astype(np.int8)
     offsets = np.concatenate([model.kernel1.offsets, model.kernel2.offsets,
                               np.zeros((1, model.dim), dtype=np.int64)])
-    return _Tables(loop=loop, fates=decode[:, 0].astype(np.int8),
-                   aux_a=decode[:, 1].astype(np.int32),
-                   aux_b=decode[:, 2].astype(np.int32),
-                   type2_row=base[2], offsets=offsets,
-                   type2_offset=len(model.kernel1.offsets))
+    return _Tables(
+        loop=loop,
+        types=np.repeat(np.array([1, 2], dtype=np.int8), [base[2], len(comp[2].decode)]),
+        fates=fates, aux_a=decode[:, 1].astype(np.int32),
+        aux_b=decode[:, 2].astype(np.int32),
+        end_draws=np.where(fates == FATE_CENSORED, 1, 2).astype(np.int8),
+        jump_row=np.array([0] + [base[p] + 1 + len(comp[p].bounds) for p in (1, 2)]),
+        jump_cum={p: c.jump_cum for p, c in comp.items()},
+        offsets=offsets, type2_offset=len(model.kernel1.offsets))
 
 
 def run(model: TwoTypeModel, horizon: float, initial, seed: int,
@@ -309,66 +393,73 @@ def run(model: TwoTypeModel, horizon: float, initial, seed: int,
 
     ``initial`` is a sequence of (type, position) pairs.  Raises
     ``EventCapExceeded`` when more than ``event_cap`` records are produced;
-    the cap is checked at the end of each jump chain.
+    the cap is checked at the end of each jump chain.  The loop records t2
+    per record and the chains' heads, head parents and end rows; the run
+    decodes types, parents and t1 from them, and leaves the fate, aux and
+    position columns to their first read.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    T = float(horizon)
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     init = [(int(p), _pos_tuple(x, model.dim)) for p, x in initial]
     if not init:
         raise ValueError("initial configuration must not be empty")
     tables = _tables(model)
     nextu = chain.from_iterable(_uniform_chunks(replica_rng(seed, replica_id))).__next__
     log = math.log
-    T = float(horizon)
 
-    rows: list[int] = []
     t2s: list[float] = []
     heads: list[int] = []
     head_parents: list[int] = []
-    add_row, add_t2 = rows.append, t2s.append
+    ends: list[int] = []
+    add_t2, add_head, add_parent, add_end = (t2s.append, heads.append,
+                                             head_parents.append, ends.append)
 
     stack = [(tables.loop[p], 0.0, -1) for p, _ in reversed(init)]
     pop, push = stack.pop, stack.append
     while stack:
-        tab, t1, parent = pop()
-        (inv_rho, bounds, children, jump_cum, last_jump,
-         censored_row, slot_row, jump_row) = tab
-        heads.append(len(t2s))
-        head_parents.append(parent)
+        tab, t, parent = pop()
+        inv_rho, bounds, last_bound, children, censored_row, slot_row = tab
+        add_head(len(t2s))
+        add_parent(parent)
         # a jump's continuation is the next record, so a jump chain stays here
         while True:
-            t2 = t1 - log(1.0 - nextu()) * inv_rho
-            if t2 >= T:
+            t -= log(1.0 - nextu()) * inv_rho
+            if t >= T:
                 add_t2(T)
-                add_row(censored_row)
+                add_end(censored_row)
                 break
-            add_t2(t2)
-            slot = bisect_right(bounds, nextu())
-            kids = children[slot]
-            if kids is not None:
-                add_row(slot_row + slot)
-                rid = len(t2s) - 1
-                for kid in kids:
-                    push((kid, t2, rid))
-                break
-            add_row(jump_row + bisect_right(jump_cum, nextu(), 0, last_jump))
-            t1 = t2
+            add_t2(t)
+            u = nextu()
+            if u >= last_bound:
+                nextu()     # the jump index, decoded from its stream position
+                continue
+            slot = bisect_right(bounds, u)
+            add_end(slot_row + slot)
+            rid = len(t2s) - 1
+            for kid in children[slot]:
+                push((kid, t, rid))
+            break
         # once per chain: a chain passes the cap by at most its own length
         if len(t2s) > event_cap:
             raise EventCapExceeded(event_cap, replica_id)
 
-    # decode: a record's parent is the record before it, unless it heads a chain
-    row = np.array(rows, dtype=np.int64)
-    parents = np.arange(-1, len(rows) - 1, dtype=np.int64)
-    parents[heads] = head_parents
+    # chain c holds records bounds[c] to bounds[c + 1] - 1, and a record's
+    # parent is the record before it, unless it heads a chain
+    n = len(t2s)
+    heads.append(n)
+    bounds = np.array(heads, dtype=np.int32)
+    ends = np.array(ends, dtype=np.int32)
+    parents = np.arange(-1, n - 1, dtype=np.int64)
+    parents[bounds[:-1]] = head_parents
+    t2s.append(0.0)             # the t1 of a root, read through its parent -1
     t2 = np.array(t2s)
     t1 = t2[parents]
-    t1[parents < 0] = 0.0
+    types = tables.types[ends].repeat(bounds[1:] - bounds[:-1])
     return SimulationRun(
         model=model, horizon=T, seed=seed, replica_id=replica_id,
-        initial=tuple(init), types=(row >= tables.type2_row).astype(np.int8) + 1,
-        t1=t1, t2=t2, fates=tables.fates[row], aux_a=tables.aux_a[row],
-        aux_b=tables.aux_b[row], parents=parents)
+        initial=tuple(init), types=types, t1=t1, t2=t2[:n], parents=parents,
+        chain_bounds=bounds, ends=ends)
 
 
 def _pos_tuple(x, dim: int) -> tuple[int, ...]:

@@ -165,19 +165,31 @@ class TestCountOnlySweeps:
 
     def test_type_totals_reject_times_outside_the_run(self):
         sim = run(critical_model(), 5.0, [(1, 0)], seed=2)
-        for bad in ([-1.0, 2.0], [2.0, 5.5]):
+        for bad in ([-1.0, 2.0], [2.0, 5.5], [math.nan], [2.0, math.inf]):
             with pytest.raises(ValueError, match="outside"):
                 clusters._type_totals(sim, bad)
 
     def test_sweeps_never_decode_positions(self, monkeypatch):
-        def refuse(parents, values):
-            raise AssertionError("a count-only sweep decoded positions")
+        """Survival and conditional sweeps read types, t1 and t2 only: they
+        never regenerate a replica's stream for its fate and aux columns, and
+        never sum its positions."""
+        def refuse(what):
+            def refused(*args):
+                raise AssertionError(f"a count-only sweep decoded {what}")
+            return refused
 
-        monkeypatch.setattr(simulate, "_ancestor_sums", refuse)
+        decode_rows = simulate._decode_rows
+        monkeypatch.setattr(simulate, "_ancestor_sums", refuse("positions"))
+        monkeypatch.setattr(simulate, "_decode_rows", refuse("fates and aux"))
         times = [1.0, 4.0]
         survival_curve(critical_model(), 1, times, 100, 3, n_workers=1)
         for j in (1, 2):
             conditional_mean_curve(critical_model(), 1, j, times, 100, 3, n_workers=1)
+        sim = run(critical_model(), 4.0, [(1, 0)], seed=3)
+        for name in ("fates", "aux_a", "aux_b"):
+            with pytest.raises(AssertionError, match="decoded fates and aux"):
+                getattr(sim, name)
+        monkeypatch.setattr(simulate, "_decode_rows", decode_rows)
         with pytest.raises(AssertionError, match="decoded positions"):
             run(critical_model(), 4.0, [(1, 0)], seed=3).positions
 

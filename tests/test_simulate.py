@@ -33,6 +33,31 @@ def conversion_model_2d() -> TwoTypeModel:
     return TwoTypeModel(simple_kernel(2), uniform_range_kernel(2, 1), 1.0, 2.0, law)
 
 
+def frozen_type2_model() -> TwoTypeModel:
+    """d = 1, subcritical: type 2 never moves (kappa2 = 0) and has a (0, 3)
+    birth, type 1 a (3, 0) birth and conversion."""
+    law = BranchingLaw(mu1=0.4, mu2=0.5, beta1={(3, 0): 0.05, (1, 1): 0.1},
+                       beta2={(0, 3): 0.1, (1, 1): 0.15}, conversion_rate=0.1)
+    return TwoTypeModel(uniform_range_kernel(1, 2), simple_kernel(1), 1.5, 0.0, law)
+
+
+def _fig_z1_short():
+    cfg = preset("fig-z1")
+    return cfg.build_model(), cfg.initial_or_default(), 4.0
+
+
+# draw-stream laws: (model, initial, horizon)
+DRAW_STREAM_CASES = {
+    "critical": lambda: (critical_model(), [(1 + (i % 2), 3 * i) for i in range(20)],
+                         20.0),
+    "fig-z1-short": _fig_z1_short,
+    "frozen-type-2": lambda: (frozen_type2_model(),
+                              [(1 + (i % 2), i) for i in range(60)], 10.0),
+    "conversion-2d": lambda: (conversion_model_2d(),
+                              [(1 + (i % 2), (i % 8, i // 8)) for i in range(40)], 8.0),
+}
+
+
 def _displacement(sim, idx) -> np.ndarray:
     """The jump vector of record ``idx``: its kernel offset at ``aux_a``."""
     return sim.model.kernel(int(sim.types[idx])).offsets[sim.aux_a[idx]]
@@ -64,6 +89,9 @@ class TestRunBasics:
         model = critical_model()
         with pytest.raises(ValueError):
             run(model, 0.0, [(1, 0)], seed=1)
+        for horizon in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                run(model, horizon, [(1, 0)], seed=1)
         with pytest.raises(ValueError):
             run(model, 1.0, [], seed=1)
         inert = TwoTypeModel(simple_kernel(1), simple_kernel(1), 0.0, 1.0,
@@ -187,12 +215,13 @@ class TestRunBasics:
         npt.assert_array_equal(sim.root_of(), roots)
         npt.assert_array_equal(sim.positions, positions)
 
-    def test_draw_stream(self, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(DRAW_STREAM_CASES))
+    def test_draw_stream(self, monkeypatch, case):
         """The draws a replica consumes are the first k of its stream, k being
         1 per censored record, 2 per other record and 1 more per jump, taken
-        in record order as sojourn, fate, jump index."""
-        model = conversion_model_2d()
-        initial = [(1 + (i % 2), (i % 8, i // 8)) for i in range(40)]
+        in record order as sojourn, fate, jump index; every decoded column
+        agrees with its record's own draws."""
+        model, initial, horizon = DRAW_STREAM_CASES[case]()
         seed, rid = 1, 4
         chunks = []
 
@@ -206,15 +235,18 @@ class TestRunBasics:
 
         monkeypatch.setattr(simulate, "replica_rng",
                             lambda s, r: Recording(replica_rng(s, r)))
-        sim = run(model, 8.0, initial, seed=seed, replica_id=rid)
+        sim = run(model, horizon, initial, seed=seed, replica_id=rid)
+        # the loop's chunks, read before a decoded column regenerates the stream
+        sizes = [len(c) for c in chunks]
+        drawn = np.concatenate(chunks)
         censored = sim.fates == FATE_CENSORED
         jumped = sim.fates == FATE_JUMPED
+        assert jumped.any() and (~censored & ~jumped).any()
         per_record = np.where(censored, 1, 2 + jumped)
         k = int(per_record.sum())
-        sizes = [len(c) for c in chunks]
         assert len(sizes) >= 3 and sum(sizes[:-1]) < k <= sum(sizes)
         u = replica_rng(seed, rid).random(k)
-        npt.assert_array_equal(np.concatenate(chunks)[:k], u)
+        npt.assert_array_equal(drawn[:k], u)
 
         law = model.law
         rates = {1: (law.mu1, law.beta1, law.conversion_rate),
@@ -339,6 +371,16 @@ def test_ancestor_sums_match_a_per_record_loop(forest):
     npt.assert_array_equal(got, _ancestor_sums_by_loop(parents, values))
 
 
+def test_stream_at_reads_the_stream_across_blocks():
+    """Uniforms at chosen stream positions equal one long draw, for blocks
+    that split the positions anywhere."""
+    at = np.array([0, 3, 4, 9, 10, 11, 30, 31])
+    whole = replica_rng(3, 1).random(32)
+    for block in (1, 2, 5, 31, 32, 64):
+        npt.assert_array_equal(simulate._stream_at(replica_rng(3, 1), at, block), whole[at])
+    assert simulate._stream_at(replica_rng(3, 1), at[:0]).shape == (0,)
+
+
 class TestLazyPositions:
     def test_positions_decoded_once_on_first_access(self, monkeypatch):
         sim = run(conversion_model_2d(), 8.0, [(1, (0, 0)), (2, (3, -1))], seed=3)
@@ -386,6 +428,9 @@ class TestSnapshot:
         sim = run(critical_model(), 2.0, [(1, 0)], seed=31)
         with pytest.raises(ValueError):
             snapshot(sim, 2.5)
+        for t in (math.nan, math.inf, -0.5):
+            with pytest.raises(ValueError, match="outside"):
+                sim.alive_mask(t)
 
 
 class TestStatisticalLaws:

@@ -11,7 +11,7 @@ from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.cli import main
 from brw2.clusters import conditional_mean_curve, survival_curve
 from brw2.lattice import simple_kernel, uniform_range_kernel
-from brw2.simulate import ensemble
+from brw2.simulate import ensemble, map_replicas, run
 
 RUN_COLUMNS = ("types", "positions", "t1", "t2", "fates", "aux_a", "aux_b", "parents")
 
@@ -56,6 +56,30 @@ def test_ensemble_same_for_one_and_two_workers():
         assert a.replica_id == b.replica_id
         for name in RUN_COLUMNS:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+LAZY_COLUMNS = ("positions", "_outcomes")
+
+
+def _undecoded(sim):
+    """The run as the engine returned it: no lazy column decoded yet."""
+    assert not set(LAZY_COLUMNS) & set(vars(sim))
+    return sim
+
+
+def test_lazy_runs_decode_in_the_parent_for_one_and_two_workers():
+    model, initial = critical_model(), [(1, 0), (2, 4)]
+    direct = [run(model, 10.0, initial, 8, replica_id=k) for k in range(6)]
+    for workers in (1, 2):
+        runs, failures = map_replicas(model, 10.0, initial, 6, 8, _undecoded,
+                                      n_workers=workers)
+        assert failures == []
+        for a, b in zip(runs, direct):
+            assert not set(LAZY_COLUMNS) & set(vars(a))
+            for name in RUN_COLUMNS:
+                col, ref = getattr(a, name), getattr(b, name)
+                assert col.dtype == ref.dtype
+                np.testing.assert_array_equal(col, ref)
 
 
 def test_curves_same_for_one_and_two_threads(monkeypatch):
