@@ -48,12 +48,14 @@ its M2 (the diagonal) and its pair correlations (the origin slice) off
 this engine rather than carrying its own.
 
 Route two (oracle path) integrates moment equations on a truncated box of
-the lattice with absorbing boundary, by an explicit adaptive Runge-Kutta
-scheme (DOP853), in two systems that share the box walk generators, the
-mean matrix [[r1, b], [c, r2]] and the time stepper.  The backward moment
-system (``first_moment_ode_oracle``, ``second_moment_ode_oracle``) carries
-m_ij(t, x, 0) over the start site x, and at order 2 the pointwise source
-sum_ab dens[i, a, b] m_aj m_bj, co-integrating order 1.  The forward pair
+the lattice with absorbing boundary, by the explicit adaptive Runge-Kutta
+method of order 8 of Dormand and Prince (``_dop853``, a bit-identical port
+of scipy's DOP853 step loop), in two systems that share the box walk
+generators, the mean matrix [[r1, b], [c, r2]] and the time stepper.  The
+backward moment system (``first_moment_ode_oracle``,
+``second_moment_ode_oracle``) carries m_ij(t, x, 0) over the start site x,
+and at order 2 the pointwise source sum_ab dens[i, a, b] m_aj m_bj,
+co-integrating order 1.  The forward pair
 system (``pair_moment_ode_oracle``) carries, from one type-1 ancestor, the
 first moments and the factorial pair densities F_jl(t, x, y) over box x
 box for any law: each member of a pair walks and branches on its own, and
@@ -63,6 +65,7 @@ meaningful cross-check; the flux killed at the boundary, of every field
 the system carries, is reported so callers can assert the truncation is
 negligible instead of guessing a box radius.
 
+Both routes refuse a time that is not finite and nonnegative (ValueError).
 All evaluations are pure functions of immutable inputs; concurrent calls at
 distinct (t, x) are safe, and each oracle integration owns its state.
 """
@@ -77,8 +80,8 @@ import numpy as np
 import scipy.fft
 import scipy.sparse
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.integrate import DOP853
 
+from ._dop853 import dop853
 from .branching import DerivedConstants, ThetaCoefficients, TwoTypeModel, \
     theta_coefficients
 from .lattice import JumpKernel, ThetaGrid, gamma_constant
@@ -449,8 +452,7 @@ def first_moment_field(model: TwoTypeModel, t: float, box_radius: int,
 
 def _first_moment_torus(model: TwoTypeModel, t: float, grid: ThetaGrid) -> np.ndarray:
     """m^(1)_{ij}(t, x, 0) on the torus window, shape (2, 2) + (M,)*d."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     return torus_field(first_moment_symbols(model, t, grid), grid)
 
 
@@ -487,6 +489,7 @@ def fit_grid(model: TwoTypeModel, t_max: float, window: int) -> ThetaGrid:
     walk's can, may be fitted a grid on which a route reports it
     ``degraded``; the routes' defect still holds.
     """
+    _check_time(t_max)
     dim = model.dim
     cap = ThetaGrid.for_dim(dim)
     c = cap.nodes_per_axis
@@ -562,14 +565,20 @@ def _rate_bound(model: TwoTypeModel) -> float:
                model.kappa2 + abs(dc.r2) + dc.c) + 1.0
 
 
+def _check_time(t) -> None:
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+
+
 def _as_times(t) -> tuple[list[float], bool]:
     if np.ndim(t) == 0:
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        _check_time(t)
         return [float(t)], True
     times = [float(v) for v in t]
-    if any(v < 0 for v in times) or sorted(times) != times:
-        raise ValueError("times must be nonnegative and increasing")
+    for v in times:
+        _check_time(v)
+    if sorted(times) != times:
+        raise ValueError("times must be increasing")
     return times, False
 
 
@@ -579,23 +588,14 @@ def _solve_chained(rhs, y0: np.ndarray, times: list[float],
 
     Solves run endpoint to endpoint: dense-output interpolation at interior
     t_eval points costs an order of accuracy, endpoints do not.  Each
-    segment steps a DOP853 solver to its end, as ``solve_ivp`` would, but
-    keeps no step history.
+    segment is one ``dop853`` run, which keeps no step history and frees
+    its stage buffer when it returns.
     """
     states, state, reached = [], y0, 0.0
     for tv in times:
         if tv > reached:
-            solver = DOP853(rhs, reached, state, tv, rtol=ODE_RTOL, atol=ODE_ATOL,
-                            max_step=min(tv, max_step))
-            while solver.status == "running":
-                message = solver.step()
-            if solver.status == "failed":
-                raise RuntimeError(f"box integration failed: {message}")
-            state, reached = solver.y, tv
-            # ``fun`` and ``fun_vectorized`` are closures over the solver;
-            # dropping them breaks its reference cycle, so refcounting frees
-            # the solver's stage arrays before the next segment
-            solver.fun = solver.fun_vectorized = None
+            state = dop853(rhs, reached, state, tv, min(tv, max_step), ODE_RTOL, ODE_ATOL)
+            reached = tv
         states.append(state)
     return states
 
@@ -961,8 +961,7 @@ def _many_to_two_symbols(model: TwoTypeModel, t: float, grid: ThetaGrid, starts:
     integral: its second moment is its first, and the defect is that of
     the first-moment fields.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     coef = theta_coefficients(model, grid)
     dc = model.derived
     # the origin slice integrates a law with no branching too, so that its

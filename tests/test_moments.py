@@ -8,11 +8,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from numpy.polynomial.legendre import leggauss, legval, legvander
-from scipy.integrate import DOP853
 from scipy.linalg import expm
 from scipy.signal import fftconvolve
 
-from brw2 import moments
+from brw2 import _dop853, moments
 from brw2.cli import _command_grid, _load_config, build_parser, main
 from brw2.branching import BranchingLaw, TwoTypeModel
 from brw2.config import parse_config, preset
@@ -578,6 +577,39 @@ class TestMomentFieldApi:
             fld.value(1, 1, (1, 1))
 
 
+def _time_routes():
+    """Every moment route as f(model, t), on a fitted grid and, where it takes
+    one, on a given grid."""
+    grid = ThetaGrid.for_dim(1, 64)
+    return {
+        "first_moment_field": lambda m, t: first_moment_field(m, t, 3),
+        "first_moment_field_grid": lambda m, t: first_moment_field(m, t, 3, grid),
+        "second_moment_field": lambda m, t: second_moment_field(m, t, 3),
+        "second_moment_field_grid": lambda m, t: second_moment_field(m, t, 3, grid),
+        "first_moment_ode_oracle": lambda m, t: first_moment_ode_oracle(m, t, 3),
+        "second_moment_ode_oracle": lambda m, t: second_moment_ode_oracle(m, t, 3),
+        "pair_moment_ode_oracle": lambda m, t: moments.pair_moment_ode_oracle(m, t, 2),
+        "epidemic_first_moment_profiles": lambda m, t: epidemic_first_moment_profiles(m, t, 3),
+        "epidemic_m2": lambda m, t: epidemic_m2(m, t, 0, 0),
+        "epidemic_m2_grid": lambda m, t: epidemic_m2(m, t, 0, 0, grid),
+        "correlation_ode": lambda m, t: correlation_ode(m, t, 3),
+        "correlation_ode_grid": lambda m, t: correlation_ode(m, t, 3, grid=grid),
+    }
+
+
+@pytest.mark.parametrize("route", _time_routes())
+def test_routes_refuse_times_that_are_not_finite(route):
+    # an infinite time never finished the box integration, and a NaN one was
+    # answered with the state at an earlier time
+    call = _time_routes()[route]
+    bad = [math.nan, math.inf, -math.inf]
+    if "oracle" in route or route.startswith("correlation_ode"):
+        bad += [[0.5, math.inf], [0.5, math.nan], [math.nan, 0.5]]
+    for t in bad:
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            call(model_case("b+c+"), t)
+
+
 class TestConversionScope:
     def test_engine_covers_conversion_law(self):
         # conversion is r1 -> r1 - r, b -> b + r: the generic engine handles the
@@ -853,22 +885,36 @@ def test_defect_never_reads_below_the_error(case):
 
 
 def test_solve_chained_leaves_no_solver_alive(monkeypatch):
-    # with the collector off, only refcounting can free a segment's solver
-    made = []
+    # with the collector off, only refcounting can free what a segment
+    # allocated: its stage buffer and every state and derivative that the
+    # stepper passed through the right-hand side, all but the end states
+    buffers, seen = [], []
 
-    class Probe(DOP853):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(weakref.ref(self))
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
 
-    monkeypatch.setattr(moments, "DOP853", Probe)
+        def empty(self, *args, **kwargs):
+            out = np.empty(*args, **kwargs)
+            buffers.append(weakref.ref(out))
+            return out
+
+    def rhs(_s, y):
+        dy = -y
+        seen.extend([weakref.ref(y), weakref.ref(dy)])
+        return dy
+
+    monkeypatch.setattr(_dop853, "np", Numpy())
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        states = moments._solve_chained(lambda _s, y: -y, np.ones(3), [0.5, 1.0], 4.0)
-        alive = [ref() is not None for ref in made]
+        states = moments._solve_chained(rhs, np.ones(3), [0.5, 1.0], 4.0)
+        stage_alive = [ref() is not None for ref in buffers]
+        others = [ref() for ref in seen
+                  if ref() is not None and not any(ref() is s for s in states)]
     finally:
         if was_enabled:
             gc.enable()
-    assert alive == [False, False]
+    assert stage_alive == [False, False]
+    assert others == []
     npt.assert_allclose(states[-1], math.exp(-1.0), rtol=1e-6)

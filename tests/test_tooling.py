@@ -4,6 +4,9 @@ names, hooks and rounds."""
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,23 @@ class RecordingTracer:
 @pytest.fixture(scope="module")
 def workloads():
     return _load(ROOT / "perfbench" / "workloads.py")
+
+
+def test_cli_and_oracle_leave_scipy_integrate_unloaded():
+    # every CLI run and benchmark worker pays for what ``import brw2.cli``
+    # loads; the oracles' own stepper keeps scipy.integrate out of it
+    code = ("import sys\n"
+            "import brw2.cli\n"
+            "from brw2.config import preset\n"
+            "from brw2.moments import second_moment_ode_oracle\n"
+            "second_moment_ode_oracle(preset('fig-z2').build_model(), [0.5, 1.0], 2)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_benchmark_setups_run(workloads):
